@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,9 @@ __all__ = [
     "dequantize",
     "quantize_bucket",
     "bucketed_quantize",
+    "Segment",
+    "quantize_segment",
+    "dequantize_segment",
     "uniform_stochastic_quantize",
     "learn_levels",
     "quantize_with_levels",
@@ -31,11 +35,6 @@ __all__ = [
 
 AFFINE_MODES = ("shift", "flip", "uniform_stochastic")
 INNER_MODES = AFFINE_MODES + ("levels",)
-
-
-def _f32(x: float) -> float:
-    """Round to the nearest float32; block metadata is transported as f32."""
-    return float(np.float32(x))
 
 
 def _check_finite(v: np.ndarray, what: str = "value") -> None:
@@ -232,6 +231,177 @@ def dequantize(
     return block.scale_lo + codes * block.pitch + block.shift
 
 
+class Segment(NamedTuple):
+    """One message of consecutive buckets, held as whole arrays.
+
+    `rows` holds the codes of the full buckets, one bucket per row; `tail`
+    the codes of a shorter final bucket (empty when the bucket size divides
+    the length).  `shift`, `scale_lo` and `scale_hi` hold one float32-exact
+    float64 per bucket, full buckets first.  A message shorter than the
+    bucket size is a single full row, which is how wire v1 frames it.
+    """
+
+    rows: np.ndarray
+    tail: np.ndarray
+    shift: np.ndarray
+    scale_lo: np.ndarray
+    scale_hi: np.ndarray
+    bit_width: int
+
+    @property
+    def length(self) -> int:
+        return self.rows.size + self.tail.size
+
+    def blocks(self) -> list[QuantizedBlock]:
+        """The segment as one QuantizedBlock per bucket."""
+        codes = [*self.rows, self.tail] if self.tail.size else self.rows
+        return [
+            QuantizedBlock(c, shift, lo, hi, self.bit_width, c.size)
+            for c, shift, lo, hi in zip(
+                codes, self.shift.tolist(), self.scale_lo.tolist(), self.scale_hi.tolist()
+            )
+        ]
+
+
+_NO_TAIL = np.zeros(0, np.uint32)  # the tail of a segment whose buckets are all full
+
+# Values at or beyond this magnitude round to an infinite float32.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+def _reject_untransportable(v: np.ndarray) -> None:
+    """Raise for the first value whose bucket metadata cannot be a float32."""
+    _check_finite(v, "bucket value")
+    i = int(np.flatnonzero(np.abs(v) >= _F32_OVERFLOW)[0])
+    raise ValueError(
+        f"bucket value at index {i}: {v[i]!r} is beyond the float32 range of "
+        "the scale metadata"
+    )
+
+
+def _quantize_rows(x, v, bit_width, inner, rng, levels):
+    """Quantize each row of `x`, a view of segment `v`, as one bucket.
+
+    Rows take draws from `rng` in order, and only non-degenerate rows draw,
+    exactly as quantizing them one after another would.
+    Returns (codes, shift, scale_lo, scale_hi).
+    """
+    ends = np.empty((2, x.shape[0]))
+    np.minimum.reduce(x, axis=1, out=ends[0])
+    np.maximum.reduce(x, axis=1, out=ends[1])
+    if np.count_nonzero(np.abs(ends) < _F32_OVERFLOW) < ends.size:  # NaN too
+        _reject_untransportable(v)
+    lo, hi = ends.astype(np.float32).astype(np.float64)
+    live = lo != hi  # degenerate rows keep all-zero codes and no shift
+    n_live = np.count_nonzero(live)
+    if not n_live:
+        return np.zeros(x.shape, np.uint32), np.zeros(x.shape[0]), lo, hi
+    if n_live == live.size:
+        y, l, h = x, lo, hi
+    else:
+        y, l, h = x[live], lo[live], hi[live]
+    top = (1 << bit_width) - 1
+    span = h - l
+    u = y - l[:, None]
+    u /= span[:, None]
+    _clip(u, 0.0, 1.0)
+    shift = np.zeros(n_live)
+    if inner == "shift":
+        pitch = 1.0 / top
+        r = rng.uniform(-pitch / 2, pitch / 2, size=n_live)
+        u -= r[:, None]
+        u /= pitch
+        q = _clip(np.rint(u, out=u), 0, top)  # ties to even, as np.round
+        shift = (r * span).astype(np.float32).astype(np.float64)
+    elif inner in ("flip", "uniform_stochastic"):
+        q = _stochastic_codes(u, bit_width, rng)
+    else:  # levels
+        if levels is None:
+            raise ValueError("inner 'levels' requires a LevelTable")
+        q = quantize_with_levels(u, levels, stochastic=False)
+        if int(q.max()) > top:
+            raise ValueError(f"code out of range for bit_width {bit_width}")
+    if n_live == live.size:
+        return q.astype(np.uint32), shift, lo, hi
+    codes = np.zeros(x.shape, np.uint32)
+    codes[live] = q
+    shifts = np.zeros(x.shape[0])
+    shifts[live] = shift
+    return codes, shifts, lo, hi
+
+
+def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
+    """np.clip in place, without its per-call overhead."""
+    np.maximum(a, lo, out=a)
+    return np.minimum(a, hi, out=a)
+
+
+def quantize_segment(
+    v,
+    bucket_size: int,
+    bit_width: int,
+    inner: str,
+    rng: np.random.Generator,
+    levels: "LevelTable | None" = None,
+) -> Segment:
+    """Min-max quantize consecutive buckets of `v` as one segment.
+
+    Each bucket is normalized to [0, 1] by its own float32-rounded minimum
+    and maximum and quantized with `inner`; a degenerate bucket (all values
+    equal) gets all-zero codes and decodes to the constant exactly.  The
+    buckets draw from `rng` in order, so the result equals quantizing them
+    one at a time from the same generator.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        v = v.ravel()
+    if v.size == 0:
+        raise ValueError("cannot quantize an empty vector")
+    if inner not in INNER_MODES:
+        raise ValueError(f"unknown inner mode {inner!r}")
+    if not 1 <= bit_width <= 32:
+        raise ValueError(f"bit_width must be in [1, 32], got {bit_width}")
+    if bucket_size < 1:
+        raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
+    size = min(bucket_size, v.size)
+    full = v.size - v.size % size
+    rows = v[:full].reshape(-1, size)
+    codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng, levels)
+    if full == v.size:
+        return Segment(codes, _NO_TAIL, shift, lo, hi, bit_width)
+    tail, *tail_meta = _quantize_rows(v[None, full:], v, bit_width, inner, rng, levels)
+    meta = [np.concatenate(pair) for pair in zip((shift, lo, hi), tail_meta)]
+    return Segment(codes, tail[0], *meta, bit_width)
+
+
+def dequantize_segment(
+    seg: Segment, mode: str = "shift", levels: "LevelTable | None" = None
+) -> np.ndarray:
+    """Reconstruct every value of a segment, as `dequantize` does per block."""
+    if mode not in INNER_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "levels":
+        if levels is None:
+            raise ValueError("mode 'levels' requires a LevelTable")
+        if levels.levels.size != (1 << seg.bit_width):
+            raise ValueError("level table size does not match bit_width")
+    out = np.empty(seg.length)
+    k, n = seg.rows.shape[0], seg.rows.size
+    parts = [(seg.rows, slice(0, k), out[:n].reshape(seg.rows.shape))]
+    if seg.tail.size:
+        parts.append((seg.tail[None], slice(k, k + 1), out[None, n:]))
+    for codes, rows, dest in parts:
+        lo, hi = seg.scale_lo[rows, None], seg.scale_hi[rows, None]
+        if mode == "levels":
+            np.multiply(levels.levels[codes], hi - lo, out=dest)
+            dest += lo
+        else:
+            np.multiply(codes, (hi - lo) / ((1 << seg.bit_width) - 1), out=dest)
+            dest += lo
+            dest += seg.shift[rows, None]
+    return out
+
+
 def quantize_bucket(
     values: np.ndarray,
     bit_width: int,
@@ -245,45 +415,8 @@ def quantize_bucket(
     scale_lo == scale_hi and decode to the constant exactly.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot quantize an empty bucket")
-    if inner not in INNER_MODES:
-        raise ValueError(f"unknown inner mode {inner!r}")
-    _check_finite(values, "bucket value")
-    n = values.size
-    lo = _f32(values.min())
-    hi = _f32(values.max())
-    if lo == hi:
-        return QuantizedBlock(
-            codes=np.zeros(n, dtype=np.uint32),
-            shift=0.0,
-            scale_lo=lo,
-            scale_hi=hi,
-            bit_width=bit_width,
-            length=n,
-        )
-    u = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-    top = (1 << bit_width) - 1
-    pitch = 1.0 / top
-    shift_value = 0.0
-    if inner == "shift":
-        r = sample_shift(pitch, rng)
-        codes = np.clip(np.round((u - r) / pitch), 0, top)
-        shift_value = _f32(r * (hi - lo))
-    elif inner in ("flip", "uniform_stochastic"):
-        codes = _stochastic_codes(u, bit_width, rng)
-    else:  # levels
-        if levels is None:
-            raise ValueError("inner 'levels' requires a LevelTable")
-        codes = quantize_with_levels(u, levels, stochastic=False)
-    return QuantizedBlock(
-        codes=np.asarray(codes, dtype=np.uint32),
-        shift=shift_value,
-        scale_lo=lo,
-        scale_hi=hi,
-        bit_width=bit_width,
-        length=n,
-    )
+    seg = quantize_segment(values, values.size, bit_width, inner, rng, levels)
+    return seg.blocks()[0]
 
 
 def bucketed_quantize(
@@ -299,26 +432,25 @@ def bucketed_quantize(
     Each bucket gets its own min-max scales and, for shift mode, its own
     independently drawn shift.  The final bucket may be short.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size == 0:
-        raise ValueError("cannot quantize an empty vector")
     if not 1 <= bit_width <= 16:
         raise ValueError(f"bit_width must be in [1, 16], got {bit_width}")
     if rng is None:
         rng = np.random.default_rng()
-    step = bucket.bucket_size
-    return [
-        quantize_bucket(v[i : i + step], bit_width, inner, rng, levels=levels)
-        for i in range(0, v.size, step)
-    ]
+    seg = quantize_segment(v, bucket.bucket_size, bit_width, inner, rng, levels)
+    return seg.blocks()
 
 
 def _stochastic_codes(u: np.ndarray, bit_width: int, rng: np.random.Generator):
-    top = (1 << bit_width) - 1
-    scaled = u * top
+    """Unbiased rounding of u in [0, 1] onto the 2**bit_width point grid.
+
+    Needs no clipping: a value rounds up only when its fractional part is
+    positive, so below the top code.
+    """
+    scaled = u * ((1 << bit_width) - 1)
     low = np.floor(scaled)
-    frac = scaled - low
-    return np.clip(low + (rng.random(u.size) < frac), 0, top)
+    scaled -= low  # the fractional part
+    low += rng.random(u.shape) < scaled
+    return low
 
 
 def uniform_stochastic_quantize(

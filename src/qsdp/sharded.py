@@ -8,9 +8,12 @@ layer that leaves each worker with the average of all workers' dequantized
 gradient contributions restricted to its shard.  Dense layers are quantized;
 bias and normalization layers always travel at full precision.
 
-Randomness is keyed per (step, layer, phase, source worker, bucket start), so
-any worker count replays exactly the same quantization draws as the
-single-process reference implementation, and the two must agree bit for bit.
+Each shard message is quantized, encoded, decoded and dequantized as one
+segment of whole arrays.  Its randomness comes from one generator keyed by
+(root seed, step, layer, phase, source worker, shard start), and its buckets
+draw from it in order, so any worker count replays exactly the same
+quantization draws as the single-process reference implementation, and the
+two must agree bit for bit.
 
 Communication accounting is peer-to-peer: a shard's encoded message crossing
 to P-1 other workers is counted P-1 times, and transfers that stay on a
@@ -28,8 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import dequantize, quantize_bucket
-from .wire import decode, encode
+from .quantize import dequantize_segment, quantize_segment
+from .wire import decode_segment, encode_segment
+
+# The per-bucket codec stays bound here for code that looks it up on this
+# module (perfbench/tracing.py); the simulation itself runs on segments.
+from .quantize import dequantize, quantize_bucket  # noqa: F401
+from .wire import decode, encode  # noqa: F401
 
 __all__ = [
     "LayerSpec",
@@ -235,17 +243,21 @@ def shard_parameters(
 def bucket_rng(
     root_seed: int, step: int, layer_idx: int, phase: int, worker: int, start: int
 ) -> np.random.Generator:
-    """Deterministic generator for one quantization event."""
+    """Deterministic generator for one shard message starting at `start`.
+
+    The message's buckets draw from it in order.
+    """
     ss = np.random.SeedSequence((root_seed, step, layer_idx, phase, worker, start))
     return np.random.default_rng(ss)
 
 
-def _segment_blocks(seg, global_start, bucket_size, bits, inner, rng_for_start):
-    blocks = []
-    for j in range(0, seg.size, bucket_size):
-        rng = rng_for_start(global_start + j)
-        blocks.append(quantize_bucket(seg[j : j + bucket_size], bits, inner, rng))
-    return blocks
+def _send(values, bucket_size, bits, inner, rng) -> tuple[np.ndarray, int]:
+    """Quantize one shard message and pass it through wire v1.
+
+    Returns what the receiver reconstructs and the message size in bytes.
+    """
+    wire = encode_segment(quantize_segment(values, bucket_size, bits, inner, rng))
+    return dequantize_segment(decode_segment(wire), inner), len(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +343,20 @@ class ShardedMLP:
             if seg.size == 0:
                 continue
             if quantized:
-                blocks = _segment_blocks(
+                received, nbytes = _send(  # what every peer reconstructs
                     seg,
-                    s,
                     self.quant.bucket_size,
                     self.quant.weight_bits,
                     "shift",
-                    lambda start: bucket_rng(
-                        self.cfg.root_seed, step, layer_idx, phase, 0, start
-                    ),
+                    bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s),
                 )
-                wire = encode(blocks)
-                received = decode(wire)  # what every peer reconstructs
-                parts.append(
-                    np.concatenate([dequantize(b, "shift") for b in received])
-                )
+                parts.append(received)
                 entry.record(
                     Transfer(
                         collective="allgather",
                         layer=layer.name,
                         bit_width=self.quant.weight_bits,
-                        nbytes=len(wire),
+                        nbytes=nbytes,
                         copies=P - 1,
                         payload_bits=seg.size * self.quant.weight_bits,
                     )
@@ -386,19 +391,12 @@ class ShardedMLP:
             for p in range(P):
                 seg = per_worker_grads[p][s:e]
                 if quantized:
-                    blocks = _segment_blocks(
+                    vals, nbytes = _send(
                         seg,
-                        s,
                         self.quant.bucket_size,
                         self.quant.gradient_bits,
                         "uniform_stochastic",
-                        lambda start: bucket_rng(
-                            self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, start
-                        ),
-                    )
-                    wire = encode(blocks)
-                    vals = np.concatenate(
-                        [dequantize(b, "uniform_stochastic") for b in decode(wire)]
+                        bucket_rng(self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, s),
                     )
                     if p != q:
                         entry.record(
@@ -406,7 +404,7 @@ class ShardedMLP:
                                 collective="reducescatter",
                                 layer=layer.name,
                                 bit_width=self.quant.gradient_bits,
-                                nbytes=len(wire),
+                                nbytes=nbytes,
                                 copies=1,
                                 payload_bits=seg.size * self.quant.gradient_bits,
                             )
@@ -513,7 +511,7 @@ class ReferenceMLP:
     """Single-process execution of the same quantized iteration.
 
     Holds full tensors, replays the identical per-(step, layer, phase,
-    worker, bucket) quantization draws, and performs no transport.  Used as
+    worker, shard) quantization draws, and performs no transport.  Used as
     the bit-exact comparison target for the sharded simulation.
     """
 
@@ -536,17 +534,14 @@ class ReferenceMLP:
         for s, e in shard_bounds(flat.size, self.cfg.P):
             if e == s:
                 continue
-            blocks = _segment_blocks(
+            seg = quantize_segment(
                 flat[s:e],
-                s,
                 self.quant.bucket_size,
                 self.quant.weight_bits,
                 "shift",
-                lambda start: bucket_rng(
-                    self.cfg.root_seed, step, layer_idx, phase, 0, start
-                ),
+                bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s),
             )
-            parts.append(np.concatenate([dequantize(b, "shift") for b in blocks]))
+            parts.append(dequantize_segment(seg, "shift"))
         return np.concatenate(parts)
 
     def _averaged_gradient(self, step, layer_idx, per_worker_grads):
@@ -562,18 +557,16 @@ class ReferenceMLP:
             for p in range(P):
                 seg = per_worker_grads[p][s:e]
                 if quantized:
-                    blocks = _segment_blocks(
-                        seg,
-                        s,
-                        self.quant.bucket_size,
-                        self.quant.gradient_bits,
-                        "uniform_stochastic",
-                        lambda start: bucket_rng(
-                            self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, start
+                    rng = bucket_rng(self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, s)
+                    vals = dequantize_segment(
+                        quantize_segment(
+                            seg,
+                            self.quant.bucket_size,
+                            self.quant.gradient_bits,
+                            "uniform_stochastic",
+                            rng,
                         ),
-                    )
-                    vals = np.concatenate(
-                        [dequantize(b, "uniform_stochastic") for b in blocks]
+                        "uniform_stochastic",
                     )
                 else:
                     vals = seg

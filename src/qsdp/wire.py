@@ -19,6 +19,11 @@ Block lengths are implied by the bucket structure: every block has
 byte; the final byte of each block is zero-padded.  Scales and the shift are
 transported as float32, so blocks built by the bucketed quantizers (whose
 metadata is float32-exact) round-trip field-exactly.
+
+`encode_segment` and `decode_segment` handle a message as one `Segment` of
+whole arrays; `encode` and `decode` are the same codec seen as a list of
+`QuantizedBlock`.  Decoding rejects non-finite metadata and
+scale_lo > scale_hi.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .quantize import QuantizedBlock
+from .quantize import QuantizedBlock, Segment
 
 __all__ = [
     "WIRE_VERSION",
@@ -35,6 +40,8 @@ __all__ = [
     "BLOCK_META_BITS",
     "encode",
     "decode",
+    "encode_segment",
+    "decode_segment",
     "message_size_bits",
     "WireError",
     "EncodeError",
@@ -79,60 +86,78 @@ def _payload_bytes(length: int, bit_width: int) -> int:
     return (length * bit_width + 7) // 8
 
 
-def _pack_codes(codes: np.ndarray, bit_width: int) -> bytes:
-    shifts = np.arange(bit_width, dtype=np.uint32)
-    bits = ((codes[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+def _code_dtype(bit_width: int) -> np.dtype:
+    """The narrowest little-endian unsigned type that holds the codes."""
+    return np.dtype("<u1" if bit_width <= 8 else "<u2" if bit_width <= 16 else "<u4")
 
 
-def _unpack_codes(payload: bytes, length: int, bit_width: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-    used = length * bit_width
-    if np.any(bits[used:]):
+def _pack_rows(codes: np.ndarray, bit_width: int) -> np.ndarray:
+    """Pack each row of codes LSB-first into whole bytes, zero-padding its end."""
+    k, n = codes.shape
+    dtype = _code_dtype(bit_width)
+    code_bytes = codes.astype(dtype, copy=False).view(np.uint8)
+    if bit_width in (8, 16, 32):  # whole bytes: the little-endian code bytes
+        return code_bytes
+    planes = np.unpackbits(
+        code_bytes.reshape(k, n, dtype.itemsize), axis=2, bitorder="little"
+    )
+    return np.packbits(
+        planes[:, :, :bit_width].reshape(k, n * bit_width), axis=1, bitorder="little"
+    )
+
+
+def _unpack_rows(payload: np.ndarray, n: int, bit_width: int) -> np.ndarray:
+    """Inverse of _pack_rows; nonzero padding bits raise a DecodeError."""
+    k = payload.shape[0]
+    dtype = _code_dtype(bit_width)
+    if bit_width in (8, 16, 32):
+        return np.ascontiguousarray(payload).view(dtype)
+    bits = np.unpackbits(payload, axis=1, bitorder="little")
+    used = n * bit_width
+    if bits[:, used:].any():
         raise DecodeError("nonzero padding bits in payload")
-    weights = (np.uint64(1) << np.arange(bit_width, dtype=np.uint64))
-    codes = bits[:used].reshape(length, bit_width).astype(np.uint64) @ weights
-    return codes.astype(np.uint32)
+    planes = np.zeros((k, n, 8 * dtype.itemsize), dtype=np.uint8)
+    planes[:, :, :bit_width] = bits[:, :used].reshape(k, n, bit_width)
+    return np.packbits(planes, axis=2, bitorder="little").view(dtype).reshape(k, n)
 
 
-def _check_f32_exact(block: QuantizedBlock) -> None:
-    for name in ("shift", "scale_lo", "scale_hi"):
-        val = getattr(block, name)
-        if float(np.float32(val)) != val:
-            raise EncodeError(
-                f"block {name}={val!r} is not float32-exact; the wire carries "
-                "f32 metadata, quantize through the bucketed path"
-            )
+_EMPTY = Segment(
+    np.zeros((0, 0), np.uint32), np.zeros(0, np.uint32),
+    np.zeros(0), np.zeros(0), np.zeros(0), 0,
+)
 
 
-def encode(blocks: list[QuantizedBlock]) -> bytes:
-    """Serialize a canonical (bucket-shaped) block list deterministically."""
-    if not blocks:
-        return _HEADER.pack(WIRE_VERSION, 0, 0, 0, 0)
-    bit_width = blocks[0].bit_width
-    bucket_size = blocks[0].length
-    total = 0
-    for i, b in enumerate(blocks):
-        if b.bit_width != bit_width:
-            raise EncodeError(
-                f"mixed bit_width: block 0 has {bit_width}, block {i} has {b.bit_width}"
-            )
-        last = i == len(blocks) - 1
-        if not last and b.length != bucket_size:
-            raise EncodeError("only the final block may be shorter than the bucket")
-        if last and b.length > bucket_size:
-            raise EncodeError("final block exceeds the bucket size")
-        total += b.length
-    out = [_HEADER.pack(WIRE_VERSION, bit_width, bucket_size, len(blocks), total)]
-    for b in blocks:
-        _check_f32_exact(b)
-        out.append(_BLOCK_META.pack(b.shift, b.scale_lo, b.scale_hi))
-        out.append(_pack_codes(b.codes, bit_width))
+def encode_segment(seg: Segment) -> bytes:
+    """Serialize one segment: the message of its block list, one record per bucket."""
+    k, bucket_size = seg.rows.shape
+    count = k + (1 if seg.tail.size else 0)
+    header = _HEADER.pack(WIRE_VERSION, seg.bit_width, bucket_size, count, seg.length)
+    if not count:
+        return header
+    meta = np.stack([seg.shift, seg.scale_lo, seg.scale_hi], axis=1)
+    with np.errstate(over="ignore"):  # overflow to inf is reported below
+        meta32 = meta.astype("<f4")
+    bad = np.argwhere((meta32 != meta) | ~np.isfinite(meta32))
+    if bad.size:
+        i, j = bad[0]
+        name = ("shift", "scale_lo", "scale_hi")[j]
+        raise EncodeError(
+            f"block {i} {name}={float(meta[i, j])!r} is not a finite float32; the "
+            "wire carries f32 metadata, quantize through the bucketed path"
+        )
+    meta_bytes = meta32.view(np.uint8)
+    record = _BLOCK_META.size + _payload_bytes(bucket_size, seg.bit_width)
+    records = np.empty((k, record), np.uint8)
+    records[:, : _BLOCK_META.size] = meta_bytes[:k]
+    records[:, _BLOCK_META.size :] = _pack_rows(seg.rows, seg.bit_width)
+    out = [header, records]
+    if seg.tail.size:
+        out += [meta_bytes[k], _pack_rows(seg.tail[None], seg.bit_width)]
     return b"".join(out)
 
 
-def decode(data: bytes) -> list[QuantizedBlock]:
-    """Exact inverse of encode; malformed input raises a DecodeError."""
+def decode_segment(data: bytes) -> Segment:
+    """Exact inverse of encode_segment; malformed input raises a DecodeError."""
     if len(data) < _HEADER.size:
         raise TruncatedMessageError(
             f"message of {len(data)} bytes is shorter than the header"
@@ -143,7 +168,7 @@ def decode(data: bytes) -> list[QuantizedBlock]:
     if count == 0:
         if len(data) != _HEADER.size or total != 0:
             raise DecodeError("empty message carries trailing data")
-        return []
+        return _EMPTY
     if bit_width < 1 or bit_width > 32:
         raise CodeRangeError(f"header bit_width {bit_width} outside [1, 32]")
     if bucket_size < 1:
@@ -153,35 +178,68 @@ def decode(data: bytes) -> list[QuantizedBlock]:
         raise DecodeError(
             f"total_length {total} inconsistent with {count} buckets of {bucket_size}"
         )
-    blocks = []
-    offset = _HEADER.size
-    for i in range(count):
-        length = bucket_size if i < count - 1 else last_len
-        if offset + _BLOCK_META.size > len(data):
-            raise TruncatedMessageError(f"block {i} metadata truncated")
-        shift, lo, hi = _BLOCK_META.unpack_from(data, offset)
-        offset += _BLOCK_META.size
-        nbytes = _payload_bytes(length, bit_width)
-        payload = data[offset : offset + nbytes]
-        if len(payload) < nbytes:
-            raise TruncatedMessageError(f"block {i} payload truncated")
-        offset += nbytes
-        codes = _unpack_codes(payload, length, bit_width)
-        if codes.size and int(codes.max()) >= (1 << bit_width):
-            raise CodeRangeError(f"block {i} contains a code outside bit_width")
-        blocks.append(
-            QuantizedBlock(
-                codes=codes,
-                shift=shift,
-                scale_lo=lo,
-                scale_hi=hi,
-                bit_width=bit_width,
-                length=length,
-            )
+    k = count if last_len == bucket_size else count - 1
+    tail_len = total - k * bucket_size
+    record = _BLOCK_META.size + _payload_bytes(bucket_size, bit_width)
+    body_end = _HEADER.size + k * record
+    end = body_end
+    if tail_len:
+        end += _BLOCK_META.size + _payload_bytes(tail_len, bit_width)
+    if len(data) < end:
+        block = min((len(data) - _HEADER.size) // record, count - 1)
+        raise TruncatedMessageError(
+            f"message truncated in block {block}: {len(data)} of {end} bytes"
         )
-    if offset != len(data):
-        raise DecodeError(f"{len(data) - offset} unexpected trailing bytes")
-    return blocks
+    if len(data) > end:
+        raise DecodeError(f"{len(data) - end} unexpected trailing bytes")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    records = buf[_HEADER.size : body_end].reshape(k, record)
+    rows = _unpack_rows(records[:, _BLOCK_META.size :], bucket_size, bit_width)
+    meta = [records[:, : _BLOCK_META.size]]
+    tail = np.zeros(0, rows.dtype)
+    if tail_len:
+        tail_start = body_end + _BLOCK_META.size
+        meta.append(buf[None, body_end:tail_start])
+        tail = _unpack_rows(buf[None, tail_start:], tail_len, bit_width)[0]
+    meta = np.concatenate(meta).view("<f4").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(meta).all(axis=1) | (meta[:, 1] > meta[:, 2]))
+    if bad.size:
+        raise DecodeError(
+            f"block {bad[0]} metadata (shift, scale_lo, scale_hi) = "
+            f"{tuple(meta[bad[0]].tolist())} is not finite with scale_lo <= scale_hi"
+        )
+    return Segment(rows, tail, meta[:, 0], meta[:, 1], meta[:, 2], bit_width)
+
+
+def encode(blocks: list[QuantizedBlock]) -> bytes:
+    """Serialize a canonical (bucket-shaped) block list deterministically."""
+    if not blocks:
+        return encode_segment(_EMPTY)
+    bit_width = blocks[0].bit_width
+    bucket_size = blocks[0].length
+    for i, b in enumerate(blocks):
+        if b.bit_width != bit_width:
+            raise EncodeError(
+                f"mixed bit_width: block 0 has {bit_width}, block {i} has {b.bit_width}"
+            )
+    if any(b.length != bucket_size for b in blocks[:-1]):
+        raise EncodeError("only the final block may be shorter than the bucket")
+    if blocks[-1].length > bucket_size:
+        raise EncodeError("final block exceeds the bucket size")
+    full = blocks if blocks[-1].length == bucket_size else blocks[:-1]
+    tail = blocks[-1].codes if len(full) < len(blocks) else blocks[0].codes[:0]
+    meta = np.array([(b.shift, b.scale_lo, b.scale_hi) for b in blocks], dtype=float)
+    return encode_segment(
+        Segment(
+            np.stack([b.codes for b in full]), tail,
+            meta[:, 0], meta[:, 1], meta[:, 2], bit_width,
+        )
+    )
+
+
+def decode(data: bytes) -> list[QuantizedBlock]:
+    """Exact inverse of encode; malformed input raises a DecodeError."""
+    return decode_segment(data).blocks()
 
 
 def message_size_bits(blocks: list[QuantizedBlock]) -> int:

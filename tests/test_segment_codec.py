@@ -1,0 +1,257 @@
+"""The segment codec against a per-bucket oracle, and the decoder's input
+checks.
+
+The oracle below is the per-bucket quantize, encode and dequantize loop the
+segment codec replaced, kept here so the comparison does not depend on the
+code under test.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsdp.quantize import (
+    BucketSpec,
+    QuantizedBlock,
+    bucketed_quantize,
+    dequantize,
+    dequantize_segment,
+    quantize_bucket,
+    quantize_segment,
+)
+from qsdp.wire import (
+    DecodeError,
+    EncodeError,
+    decode,
+    decode_segment,
+    encode,
+    encode_segment,
+)
+
+INNERS = ("shift", "uniform_stochastic")
+
+
+# -- the per-bucket oracle ------------------------------------------------------
+
+
+def _oracle_bucket(values, bit_width, inner, rng):
+    """(codes, shift, scale_lo, scale_hi) of one bucket."""
+    lo = float(np.float32(values.min()))
+    hi = float(np.float32(values.max()))
+    if lo == hi:
+        return np.zeros(values.size, dtype=np.uint32), 0.0, lo, hi
+    u = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    top = (1 << bit_width) - 1
+    pitch = 1.0 / top
+    shift = 0.0
+    if inner == "shift":
+        r = float(rng.uniform(-pitch / 2, pitch / 2))
+        codes = np.clip(np.round((u - r) / pitch), 0, top)
+        shift = float(np.float32(r * (hi - lo)))
+    else:
+        scaled = u * top
+        low = np.floor(scaled)
+        frac = scaled - low
+        codes = np.clip(low + (rng.random(u.size) < frac), 0, top)
+    return codes.astype(np.uint32), shift, lo, hi
+
+
+def _oracle_message(v, bucket_size, bit_width, inner, rng):
+    """Wire v1 bytes and dequantized values of the per-bucket loop."""
+    blocks = [
+        _oracle_bucket(v[i : i + bucket_size], bit_width, inner, rng)
+        for i in range(0, v.size, bucket_size)
+    ]
+    out = [struct.pack("<BBIII", 1, bit_width, blocks[0][0].size, len(blocks), v.size)]
+    values = []
+    for codes, shift, lo, hi in blocks:
+        out.append(struct.pack("<fff", shift, lo, hi))
+        planes = (codes[:, None] >> np.arange(bit_width, dtype=np.uint32)) & 1
+        packed = np.packbits(planes.astype(np.uint8).ravel(), bitorder="little")
+        out.append(packed.tobytes())
+        values.append(lo + codes * ((hi - lo) / ((1 << bit_width) - 1)) + shift)
+    return b"".join(out), np.concatenate(values)
+
+
+@st.composite
+def _messages(draw):
+    """(values, bucket size, bit width, inner mode, generator seed)."""
+    n = draw(st.integers(1, 3000))
+    bucket = draw(
+        st.one_of(st.integers(1, 40), st.integers(1, 1100), st.integers(n, n + 50))
+    )
+    bits = draw(st.integers(1, 16))
+    inner = draw(st.sampled_from(INNERS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-30, 1e-3, 1.0, 1e6, 1e30]))
+    v = np.random.default_rng(seed).standard_normal(n) * scale
+    every = draw(st.integers(0, 3))  # make every `every`-th bucket constant
+    if every:
+        for start in range(0, n, bucket * every):
+            v[start : start + bucket] = v[start]
+    return v, bucket, bits, inner, seed
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_messages())
+def test_segment_codec_matches_per_bucket_oracle(message):
+    v, bucket, bits, inner, seed = message
+    want_bytes, want_values = _oracle_message(
+        v, bucket, bits, inner, np.random.default_rng(seed)
+    )
+    seg = quantize_segment(v, bucket, bits, inner, np.random.default_rng(seed))
+    data = encode_segment(seg)
+    assert data == want_bytes
+    assert _same_bits(dequantize_segment(decode_segment(data), inner), want_values)
+    # the public block-list edge is the same codec
+    rng = np.random.default_rng(seed)
+    blocks = bucketed_quantize(v, BucketSpec(bucket), bits, inner, rng)
+    assert encode(blocks) == want_bytes
+    got = np.concatenate([dequantize(b, inner) for b in decode(want_bytes)])
+    assert _same_bits(got, want_values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_messages())
+def test_quantize_bucket_is_a_one_bucket_segment(message):
+    v, _, bits, inner, seed = message
+    block = quantize_bucket(v, bits, inner, np.random.default_rng(seed))
+    codes, shift, lo, hi = _oracle_bucket(v, bits, inner, np.random.default_rng(seed))
+    assert block == QuantizedBlock(codes, shift, lo, hi, bits, v.size)
+
+
+# -- decoding malformed bytes ---------------------------------------------------
+
+
+def _decode_or_reject(data: bytes) -> None:
+    """Decoding either succeeds, re-encoding exactly, or raises DecodeError."""
+    try:
+        seg = decode_segment(data)
+    except DecodeError:
+        with pytest.raises(DecodeError):
+            decode(data)
+        return
+    assert encode_segment(seg) == data
+    decode(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=96))
+def test_random_bytes_raise_only_decode_errors(data):
+    _decode_or_reject(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _messages(),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+    st.integers(-8, 8),
+)
+def test_mutated_messages_raise_only_decode_errors(message, flips, resize):
+    v, bucket, bits, inner, seed = message
+    seg = quantize_segment(v[:64], bucket, bits, inner, np.random.default_rng(seed))
+    data = bytearray(encode_segment(seg))
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    data = data[:resize] if resize < 0 else data + bytes(resize)
+    _decode_or_reject(bytes(data))
+
+
+# -- metadata checks ------------------------------------------------------------
+
+# 10 values in buckets of 4 at 8 bits: blocks of 4, 4 and 2 codes, each record
+# 12 metadata bytes (shift, scale_lo, scale_hi as f32) and its code bytes.
+_HEADER_BYTES = 14
+_BLOCK_STARTS = (_HEADER_BYTES, _HEADER_BYTES + 16, _HEADER_BYTES + 32)
+
+
+def _valid_message() -> bytes:
+    v = np.linspace(-1.0, 1.0, 10)
+    return encode_segment(quantize_segment(v, 4, 8, "shift", np.random.default_rng(0)))
+
+
+def test_valid_message_layout():
+    data = _valid_message()
+    assert len(data) == _BLOCK_STARTS[2] + 12 + 2
+    seg = decode_segment(data)
+    for i, start in enumerate(_BLOCK_STARTS):
+        fields = struct.unpack_from("<fff", data, start)
+        assert fields == (seg.shift[i], seg.scale_lo[i], seg.scale_hi[i])
+
+
+@pytest.mark.parametrize("block", range(3))
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_metadata(block, field, value):
+    data = bytearray(_valid_message())
+    struct.pack_into("<f", data, _BLOCK_STARTS[block] + 4 * field, value)
+    with pytest.raises(DecodeError, match="metadata"):
+        decode(bytes(data))
+    with pytest.raises(DecodeError, match="metadata"):
+        decode_segment(bytes(data))
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_decode_rejects_inverted_scales(block):
+    data = bytearray(_valid_message())
+    struct.pack_into("<ff", data, _BLOCK_STARTS[block] + 4, 2.0, 1.0)
+    with pytest.raises(DecodeError, match="scale_lo <= scale_hi"):
+        decode(bytes(data))
+
+
+def test_encode_rejects_non_finite_metadata():
+    block = QuantizedBlock(np.zeros(2, np.uint32), 0.0, 0.0, np.inf, 4, 2)
+    with pytest.raises(EncodeError, match="scale_hi"):
+        encode([block])
+
+
+# -- values beyond the float32 metadata range -----------------------------------
+
+
+# the smallest magnitude that rounds to an infinite float32
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+@pytest.mark.parametrize(
+    "values, index",
+    [
+        ([1e39, 0.0, 1.0], 0),
+        ([0.0, -1e39, 1.0], 1),
+        ([0.0, 1.0, 2.0, 3.0, _F32_OVERFLOW], 4),  # in the tail bucket
+    ],
+)
+def test_values_beyond_float32_range_are_rejected(values, index):
+    rng = np.random.default_rng(0)
+    match = f"index {index}: .* beyond the float32 range"
+    for inner in INNERS:
+        with pytest.raises(ValueError, match=match):
+            quantize_segment(values, 2, 8, inner, rng)
+        with pytest.raises(ValueError, match=match):
+            bucketed_quantize(values, BucketSpec(2), 8, inner, rng)
+        with pytest.raises(ValueError, match=match):
+            quantize_bucket(np.asarray(values), 8, inner, rng)
+
+
+@pytest.mark.parametrize(
+    "big", [float(np.finfo(np.float32).max), np.nextafter(_F32_OVERFLOW, 0.0)]
+)
+def test_largest_float32_values_still_quantize(big):
+    v = np.array([-big, 0.0, big])
+    for inner in INNERS:
+        seg = quantize_segment(v, 3, 8, inner, np.random.default_rng(0))
+        out = dequantize_segment(decode_segment(encode_segment(seg)), inner)
+        assert np.all(np.isfinite(out))
+        assert np.all(np.abs(out - v) <= 2 * big / 255)  # within about one pitch
+
+
+def test_non_finite_values_keep_their_index_in_the_message():
+    v = [0.0, 1.0, 2.0, 3.0, 4.0, np.nan]
+    with pytest.raises(ValueError, match="non-finite bucket value at index 5"):
+        quantize_segment(v, 4, 8, "shift", np.random.default_rng(0))

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdp.sharded import (
     PHASE_W_FWD,
@@ -139,6 +143,35 @@ class TestEquivalence:
             assert ea.reducescatter_bits == eb.reducescatter_bits
         for name, full in a.full_params().items():
             assert np.array_equal(full, b.full_params()[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 24), min_size=2, max_size=4),
+        P=st.integers(1, 6),
+        rows=st.integers(1, 3),
+        bucket=st.integers(1, 70),
+        bits=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        quantized=st.tuples(st.booleans(), st.booleans()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_configs_match_reference(
+        self, widths, P, rows, bucket, bits, quantized, seed
+    ):
+        # small layers put P above a layer's size, and most buckets leave a
+        # short tail in a shard
+        quant = QuantConfig(
+            quantize_weights=quantized[0], quantize_gradients=quantized[1],
+            weight_bits=bits[0], gradient_bits=bits[1], bucket_size=bucket,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # P > layer size
+            sim = _sim(P=P, quant=quant, seed=seed, widths=tuple(widths), batch=P * rows)
+        ref = _ref(P=P, quant=quant, seed=seed, widths=tuple(widths), batch=P * rows)
+        for t in range(2):
+            loss_s, _ = sim.train_step(t)
+            assert loss_s == ref.train_step(t)
+        for name, full in sim.full_params().items():
+            assert full.tobytes() == ref.params[name].tobytes()
 
     def test_zero_upstream_gradient_leaves_shards_unchanged(self):
         quant = QuantConfig(quantize_weights=False, quantize_gradients=False)
