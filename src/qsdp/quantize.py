@@ -280,7 +280,7 @@ def _reject_untransportable(v: np.ndarray) -> None:
 
 
 def _quantize_rows(x, v, bit_width, inner, rng, levels):
-    """Quantize each row of `x`, a view of segment `v`, as one bucket.
+    """Quantize each row of `x`, a 2-D view of segment `v`, as one bucket.
 
     Rows take draws from `rng` in order, and only non-degenerate rows draw,
     exactly as quantizing them one after another would.
@@ -291,7 +291,8 @@ def _quantize_rows(x, v, bit_width, inner, rng, levels):
     np.maximum.reduce(x, axis=1, out=ends[1])
     if np.count_nonzero(np.abs(ends) < _F32_OVERFLOW) < ends.size:  # NaN too
         _reject_untransportable(v)
-    lo, hi = ends.astype(np.float32).astype(np.float64)
+    ends = ends.astype(np.float32).astype(np.float64)
+    lo, hi = ends[0], ends[1]
     live = lo != hi  # degenerate rows keep all-zero codes and no shift
     n_live = np.count_nonzero(live)
     if not n_live:
@@ -300,34 +301,61 @@ def _quantize_rows(x, v, bit_width, inner, rng, levels):
         y, l, h = x, lo, hi
     else:
         y, l, h = x[live], lo[live], hi[live]
-    top = (1 << bit_width) - 1
-    span = h - l
-    u = y - l[:, None]
-    u /= span[:, None]
-    _clip(u, 0.0, 1.0)
-    shift = np.zeros(n_live)
-    if inner == "shift":
-        pitch = 1.0 / top
-        r = rng.uniform(-pitch / 2, pitch / 2, size=n_live)
-        u -= r[:, None]
-        u /= pitch
-        q = _clip(np.rint(u, out=u), 0, top)  # ties to even, as np.round
-        shift = (r * span).astype(np.float32).astype(np.float64)
-    elif inner in ("flip", "uniform_stochastic"):
-        q = _stochastic_codes(u, bit_width, rng)
-    else:  # levels
-        if levels is None:
-            raise ValueError("inner 'levels' requires a LevelTable")
-        q = quantize_with_levels(u, levels, stochastic=False)
-        if int(q.max()) > top:
-            raise ValueError(f"code out of range for bit_width {bit_width}")
+    q, shift = _code(y, l[:, None], (h - l)[:, None], bit_width, inner, rng, levels)
+    shift = np.ravel(shift) if inner == "shift" else np.zeros(n_live)
     if n_live == live.size:
-        return q.astype(np.uint32), shift, lo, hi
+        return q, shift, lo, hi
     codes = np.zeros(x.shape, np.uint32)
     codes[live] = q
     shifts = np.zeros(x.shape[0])
     shifts[live] = shift
     return codes, shifts, lo, hi
+
+
+def _quantize_row(row, v, bit_width, inner, rng, levels):
+    """Quantize `row`, a 1-D view of segment `v`, as one bucket.
+
+    The arithmetic of _quantize_rows with Python-float metadata, which
+    keeps the many one-bucket messages of small vectors cheap.
+    Returns (codes, shift, scale_lo, scale_hi).
+    """
+    lo, hi = np.minimum.reduce(row), np.maximum.reduce(row)
+    if not (-_F32_OVERFLOW < lo and hi < _F32_OVERFLOW):  # NaN too
+        _reject_untransportable(v)
+    lo, hi = float(np.float32(lo)), float(np.float32(hi))
+    if lo == hi:  # degenerate: all-zero codes, no shift and no draw
+        return np.zeros(row.size, np.uint32), 0.0, lo, hi
+    codes, shift = _code(row, lo, hi - lo, bit_width, inner, rng, levels)
+    return codes, float(shift), lo, hi
+
+
+def _code(y, lo, span, bit_width, inner, rng, levels):
+    """Codes of `y` in buckets spanning [lo, lo + span], span > 0.
+
+    `lo` and `span` are floats for one bucket, or (buckets, 1) columns for
+    the rows of a 2-D `y`.  Shift mode draws one shift per bucket in order.
+    Returns (codes, shift): shift float32-exact and shaped as `span`, or 0.0
+    for the other modes.
+    """
+    top = (1 << bit_width) - 1
+    u = y - lo
+    u /= span
+    _clip(u, 0.0, 1.0)
+    if inner == "shift":
+        pitch = 1.0 / top
+        r = rng.uniform(-pitch / 2, pitch / 2, size=np.shape(span))
+        u -= r
+        u /= pitch
+        q = _clip(np.rint(u, out=u), 0, top)  # ties to even, as np.round
+        return q.astype(np.uint32), (r * span).astype(np.float32).astype(np.float64)
+    if inner == "levels":
+        if levels is None:
+            raise ValueError("inner 'levels' requires a LevelTable")
+        q = quantize_with_levels(u, levels, stochastic=False)
+        if int(q.max()) > top:
+            raise ValueError(f"code out of range for bit_width {bit_width}")
+        return q.astype(np.uint32), 0.0
+    return _stochastic_codes(u, bit_width, rng).astype(np.uint32), 0.0
 
 
 def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
@@ -364,14 +392,19 @@ def quantize_segment(
     if bucket_size < 1:
         raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
     size = min(bucket_size, v.size)
-    full = v.size - v.size % size
-    rows = v[:full].reshape(-1, size)
-    codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng, levels)
-    if full == v.size:
+    k, tail_len = divmod(v.size, size)
+    if k > 1:
+        rows = v[: k * size].reshape(k, size)
+        codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng, levels)
+    else:
+        row, *meta = _quantize_row(v[:size], v, bit_width, inner, rng, levels)
+        codes, meta = row[None], np.array(meta)
+        shift, lo, hi = meta[0:1], meta[1:2], meta[2:3]
+    if not tail_len:
         return Segment(codes, _NO_TAIL, shift, lo, hi, bit_width)
-    tail, *tail_meta = _quantize_rows(v[None, full:], v, bit_width, inner, rng, levels)
-    meta = [np.concatenate(pair) for pair in zip((shift, lo, hi), tail_meta)]
-    return Segment(codes, tail[0], *meta, bit_width)
+    tail, *tail_meta = _quantize_row(v[k * size :], v, bit_width, inner, rng, levels)
+    meta = [np.append(a, t) for a, t in zip((shift, lo, hi), tail_meta)]
+    return Segment(codes, tail, *meta, bit_width)
 
 
 def dequantize_segment(
