@@ -52,7 +52,9 @@ def _take(cfg: dict, used: set, key: str, kind, default=_MISSING, check=None):
         return default
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (
+        not isinstance(val, kind) or (kind is int and isinstance(val, bool))
+    ):
         raise ConfigError(f"{key}: expected {getattr(kind, '__name__', kind)}, got {val!r}")
     if check is not None:
         err = check(val)
@@ -184,6 +186,12 @@ def cmd_converge(cfg: dict, threads: int = 1):
     _finish(cfg, used)
     if len(x0) != n:
         raise ConfigError(f"x0: expected {n} entries, got {len(x0)}")
+    if len(linear) != n:
+        raise ConfigError(f"linear: expected {n} entries, got {len(linear)}")
+    if gradient_bits is not None and not 1 <= gradient_bits <= 16:
+        raise ConfigError(f"gradient_bits: must be in [1, 16], got {gradient_bits}")
+    if budget_draws < 2:
+        raise ConfigError(f"budget_draws: must be >= 2, got {budget_draws}")
     if sigma < 0:
         raise ConfigError("sigma: must be >= 0")
     if not seeds:

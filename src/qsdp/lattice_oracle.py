@@ -9,8 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optimizer import UniformStochasticGradientQuantizer
 from .problems import ProblemSpec
-from .quantize import BucketSpec, bucketed_quantize, dequantize
+from .quantize import BucketSpec
+
+# The block-list codec stays bound here for code that looks it up on this
+# module (perfbench/tracing.py); the budget runs the gradient quantizer.
+from .quantize import bucketed_quantize, dequantize  # noqa: F401
 
 __all__ = [
     "brute_force_lattice_min",
@@ -157,23 +162,20 @@ def gradient_quantizer_variance_budget(
 ) -> VarianceBudget:
     """Estimate E||Q(g) - g||^2 over representative gradients.
 
-    Returns the empirical upper envelope (max over samples of the
-    Monte-Carlo mean plus three standard errors) together with the analytic
-    per-bucket pitch * l1-norm bound.
+    Q is `UniformStochasticGradientQuantizer(bit_width, bucket)`, the
+    quantizer a run uses.  Returns the empirical upper envelope (max over
+    samples of the Monte-Carlo mean plus three standard errors) together
+    with the analytic per-bucket pitch * l1-norm bound.
     """
     if draws < 2:
         raise ValueError("need at least two draws per sample")
+    quantizer = UniformStochasticGradientQuantizer(bit_width, bucket)
     means, ses, analytic = [], [], 0.0
     for g in sample_gradients:
         g = np.asarray(g, dtype=float)
         errs = np.empty(draws)
         for j in range(draws):
-            blocks = bucketed_quantize(
-                g, bucket, bit_width, inner="uniform_stochastic", rng=rng
-            )
-            ghat = np.concatenate(
-                [dequantize(b, "uniform_stochastic") for b in blocks]
-            )
+            ghat, _ = quantizer(g, rng)
             errs[j] = float(np.sum((ghat - g) ** 2))
         means.append(errs.mean())
         ses.append(errs.std(ddof=1) / math.sqrt(draws))

@@ -15,8 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import ProblemSpec
-from .quantize import BucketSpec, bucketed_quantize, dequantize, sample_shift
-from .wire import message_size_bits
+from .quantize import BucketSpec, dequantize_segment, quantize_segment, sample_shift
+from .wire import segment_size_bits
+
+# The block-list codec stays bound here for code that looks it up on this
+# module (perfbench/tracing.py); the quantizer itself runs on segments.
+from .quantize import bucketed_quantize, dequantize  # noqa: F401
+from .wire import message_size_bits  # noqa: F401
 
 __all__ = [
     "RunPlan",
@@ -175,20 +180,55 @@ class RunResult:
 
 
 class UniformStochasticGradientQuantizer:
-    """Bucketed unbiased gradient quantizer that accounts its wire bits."""
+    """Bucketed unbiased gradient quantizer that accounts its wire bits.
+
+    A gradient is one `quantize_segment` message: the values, draws and bit
+    count of `bucketed_quantize` followed by a per-block `dequantize`.
+    """
 
     def __init__(self, bit_width: int, bucket: BucketSpec | None = None):
+        if not 1 <= bit_width <= 16:
+            raise ValueError(f"bit_width must be in [1, 16], got {bit_width}")
         self.bit_width = bit_width
         self.bucket = bucket or BucketSpec()
 
     def __call__(
         self, g: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, int]:
-        blocks = bucketed_quantize(
-            g, self.bucket, self.bit_width, inner="uniform_stochastic", rng=rng
+        seg = quantize_segment(
+            g, self.bucket.bucket_size, self.bit_width, "uniform_stochastic", rng
         )
-        ghat = np.concatenate([dequantize(b, "uniform_stochastic") for b in blocks])
-        return ghat, message_size_bits(blocks)
+        bits = segment_size_bits(seg.length, self.bucket.bucket_size, self.bit_width)
+        return dequantize_segment(seg, "uniform_stochastic"), bits
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # a finite sum has finite terms; scan only when the sum is not finite
+    return math.isfinite(np.add.reduce(a)) or bool(np.isfinite(a).all())
+
+
+def _step(x, problem, plan, rng, gradient_quantizer, shift):
+    """The iteration itself: returns (x_new, y, g, r, bits), where y is the
+    gradient step before the lattice snap and g the (quantized) gradient."""
+    if not _all_finite(x):
+        raise RuntimeError("iterate became non-finite; run aborted")
+    g = problem.stochastic_gradient(x, rng)
+    if not _all_finite(g):
+        raise RuntimeError(
+            f"non-finite gradient at x with |x|_max={np.abs(x).max():g}; run aborted"
+        )
+    bits = 0
+    if gradient_quantizer is not None:
+        g, bits = gradient_quantizer(g, rng)
+    y = x - (plan.eta / problem.smoothness) * g
+    d = plan.fine_resolution
+    r = sample_shift(d, rng) if shift is None else shift
+    x_new = y - r
+    x_new /= d
+    np.rint(x_new, out=x_new)  # ties to even, as np.round
+    x_new *= d
+    x_new += r
+    return x_new, y, g, r, bits
 
 
 def qsdp_step(
@@ -205,20 +245,7 @@ def qsdp_step(
     forced) shift r.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError("iterate became non-finite; run aborted")
-    g = problem.stochastic_gradient(x, rng)
-    if not np.all(np.isfinite(g)):
-        raise RuntimeError(
-            f"non-finite gradient at x with |x|_max={np.abs(x).max():g}; run aborted"
-        )
-    bits = 0
-    if gradient_quantizer is not None:
-        g, bits = gradient_quantizer(g, rng)
-    y = x - (plan.eta / problem.smoothness) * g
-    d = plan.fine_resolution
-    r = sample_shift(d, rng) if shift is None else shift
-    x_new = d * np.round((y - r) / d) + r
+    x_new, y, g, r, bits = _step(x, problem, plan, rng, gradient_quantizer, shift)
     rec = StepRecord(
         objective=problem.objective(x_new),
         gradient_norm=float(np.linalg.norm(g)),
@@ -241,7 +268,10 @@ def run(
     """Execute the planned iteration for every seed independently.
 
     Seeds are deterministic and order-independent, so callers may fan them
-    out across threads without changing the result.
+    out across threads without changing the result.  Per-step records
+    (`qsdp_step`'s objective, norms and shift) are built only with
+    `keep_traces`; without it each seed's trace holds just its final
+    objective, gap and bit count, and the objective is evaluated once.
     """
     x0 = np.asarray(x0, dtype=float)
     ref = benchmark if benchmark is not None else (problem.optimal_value or 0.0)
@@ -252,10 +282,13 @@ def run(
         trace = IterateTrace(seed=int(seed))
         total_bits = 0
         for _ in range(plan.iteration_count):
-            x, rec = qsdp_step(x, problem, plan, rng, gradient_quantizer)
-            total_bits += rec.gradient_bits
             if keep_traces:
+                x, rec = qsdp_step(x, problem, plan, rng, gradient_quantizer)
                 trace.steps.append(rec)
+                bits = rec.gradient_bits
+            else:
+                x, _, _, _, bits = _step(x, problem, plan, rng, gradient_quantizer, None)
+            total_bits += bits
         f_final = problem.objective(x)
         trace.final_objective = f_final
         trace.final_gap = f_final - ref

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +43,7 @@ class ProblemSpec:
     def stochastic_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         g = self.gradient(x)
         if self.noise_sigma > 0:
-            g = g + (self.noise_sigma / np.sqrt(self.dimension)) * rng.standard_normal(
+            g = g + (self.noise_sigma / math.sqrt(self.dimension)) * rng.standard_normal(
                 self.dimension
             )
         return g

@@ -7,6 +7,7 @@ gradient-descent-optimized level tables for non-uniform codebooks.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,6 +39,8 @@ INNER_MODES = AFFINE_MODES + ("levels",)
 
 
 def _check_finite(v: np.ndarray, what: str = "value") -> None:
+    if math.isfinite(np.add.reduce(v, axis=None)):  # a finite sum has finite terms
+        return
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise ValueError(f"non-finite {what} at index {bad[0]}: {v[bad[0]]!r}")
@@ -397,9 +400,8 @@ def quantize_segment(
         rows = v[: k * size].reshape(k, size)
         codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng, levels)
     else:
-        row, *meta = _quantize_row(v[:size], v, bit_width, inner, rng, levels)
-        codes, meta = row[None], np.array(meta)
-        shift, lo, hi = meta[0:1], meta[1:2], meta[2:3]
+        row, shift, lo, hi = _quantize_row(v[:size], v, bit_width, inner, rng, levels)
+        codes, shift, lo, hi = row[None], np.array([shift]), np.array([lo]), np.array([hi])
     if not tail_len:
         return Segment(codes, _NO_TAIL, shift, lo, hi, bit_width)
     tail, *tail_meta = _quantize_row(v[k * size :], v, bit_width, inner, rng, levels)
@@ -418,20 +420,33 @@ def dequantize_segment(
             raise ValueError("mode 'levels' requires a LevelTable")
         if levels.levels.size != (1 << seg.bit_width):
             raise ValueError("level table size does not match bit_width")
-    out = np.empty(seg.length)
-    k, n = seg.rows.shape[0], seg.rows.size
-    parts = [(seg.rows, slice(0, k), out[:n].reshape(seg.rows.shape))]
-    if seg.tail.size:
-        parts.append((seg.tail[None], slice(k, k + 1), out[None, n:]))
-    for codes, rows, dest in parts:
-        lo, hi = seg.scale_lo[rows, None], seg.scale_hi[rows, None]
-        if mode == "levels":
-            np.multiply(levels.levels[codes], hi - lo, out=dest)
-            dest += lo
-        else:
-            np.multiply(codes, (hi - lo) / ((1 << seg.bit_width) - 1), out=dest)
-            dest += lo
-            dest += seg.shift[rows, None]
+    k = seg.rows.shape[0]
+    if k == 1 and not seg.tail.size:  # one bucket, as a message no longer than it
+        meta = seg.scale_lo.item(), seg.scale_hi.item(), seg.shift.item()
+        return _values(seg.rows[0], *meta, seg.bit_width, mode, levels)
+    meta = seg.scale_lo[:k, None], seg.scale_hi[:k, None], seg.shift[:k, None]
+    out = _values(seg.rows, *meta, seg.bit_width, mode, levels).ravel()
+    if not seg.tail.size:
+        return out
+    meta = seg.scale_lo[k].item(), seg.scale_hi[k].item(), seg.shift[k].item()
+    return np.concatenate((out, _values(seg.tail, *meta, seg.bit_width, mode, levels)))
+
+
+def _values(codes, lo, hi, shift, bit_width, mode, levels):
+    """Values of `codes` in buckets spanning [lo, hi], plus `shift`.
+
+    The metadata are floats for one bucket, or (buckets, 1) columns for the
+    rows of a 2-D `codes`, as in `_code`.
+    """
+    if mode == "levels":
+        out = np.multiply(levels.levels[codes], hi - lo)
+        out += lo
+        return out
+    out = np.multiply(codes, (hi - lo) / ((1 << bit_width) - 1))
+    out += lo
+    # lo + code * pitch is never -0.0, so adding a zero shift is the identity
+    if np.count_nonzero(shift):
+        out += shift
     return out
 
 
@@ -476,13 +491,14 @@ def bucketed_quantize(
 def _stochastic_codes(u: np.ndarray, bit_width: int, rng: np.random.Generator):
     """Unbiased rounding of u in [0, 1] onto the 2**bit_width point grid.
 
-    Needs no clipping: a value rounds up only when its fractional part is
-    positive, so below the top code.
+    Rounds in place: `u` must be the caller's own temporary, and is left
+    holding fractional parts.  Needs no clipping: a value rounds up only
+    when its fractional part is positive, so below the top code.
     """
-    scaled = u * ((1 << bit_width) - 1)
-    low = np.floor(scaled)
-    scaled -= low  # the fractional part
-    low += rng.random(u.shape) < scaled
+    u *= (1 << bit_width) - 1
+    low = np.floor(u)
+    u -= low  # the fractional part
+    low += rng.random(u.shape) < u
     return low
 
 
@@ -502,7 +518,7 @@ def uniform_stochastic_quantize(
         raise ValueError(
             f"entry outside normalized interval [0, 1] at index {bad[0]}: {v[bad[0]]}"
         )
-    return _stochastic_codes(v, bit_width, rng).astype(np.uint32)
+    return _stochastic_codes(v.copy(), bit_width, rng).astype(np.uint32)
 
 
 @dataclass

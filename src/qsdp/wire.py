@@ -43,6 +43,7 @@ __all__ = [
     "encode_segment",
     "decode_segment",
     "message_size_bits",
+    "segment_size_bits",
     "WireError",
     "EncodeError",
     "DecodeError",
@@ -242,9 +243,20 @@ def decode(data: bytes) -> list[QuantizedBlock]:
     return decode_segment(data).blocks()
 
 
+def _block_bits(length: int, bit_width: int) -> int:
+    """Encoded bits of one block record: f32 metadata plus its padded payload."""
+    return BLOCK_META_BITS + 8 * _payload_bytes(length, bit_width)
+
+
 def message_size_bits(blocks: list[QuantizedBlock]) -> int:
     """Exact encoded size in bits, metadata and per-block padding included."""
-    size = HEADER_BITS
-    for b in blocks:
-        size += BLOCK_META_BITS + 8 * _payload_bytes(b.length, b.bit_width)
-    return size
+    return HEADER_BITS + sum(_block_bits(b.length, b.bit_width) for b in blocks)
+
+
+def segment_size_bits(length: int, bucket_size: int, bit_width: int) -> int:
+    """Exact encoded size in bits of the segment `quantize_segment` makes of
+    `length` values: message_size_bits of its blocks, without building them."""
+    size = max(min(bucket_size, length), 1)
+    k, tail = divmod(length, size)
+    bits = HEADER_BITS + k * _block_bits(size, bit_width)
+    return bits + _block_bits(tail, bit_width) if tail else bits

@@ -232,3 +232,34 @@ def test_example_configs_parse(tmp_path):
     for cfg_file in sorted(here.glob("*.json")):
         cfg = json.loads(cfg_file.read_text())
         assert "experiment" in cfg
+
+
+MALFORMED = [
+    ("converge", {"gradient_bits": 17}, "gradient_bits"),
+    ("converge", {"gradient_bits": 0}, "gradient_bits"),
+    ("converge", {"gradient_bits": True}, "gradient_bits"),
+    ("converge", {"linear": [0.0]}, "linear"),
+    ("converge", {"linear": [0.0, 0.0, 0.0]}, "linear"),
+    ("converge", {"benchmark_samples": True}, "benchmark_samples"),
+    ("converge", {"benchmark_seed": False}, "benchmark_seed"),
+    ("converge", {"budget_draws": 1, "gradient_bits": 4}, "budget_draws"),
+    ("converge", {"budget_draws": True, "gradient_bits": 4}, "budget_draws"),
+    ("converge", {"seeds": [0, True]}, "seeds"),
+    ("train-sim", {"steps": True}, "steps"),
+    ("train-sim", {"P": True}, "P"),
+    ("train-sim", {"bucket_size": True}, "bucket_size"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,patch,field", MALFORMED, ids=[f"{c}-{f}-{p[f]!r}" for c, p, f in MALFORMED]
+)
+def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, command, patch, field):
+    cfg_path = _write(tmp_path, command, dict(CONFIGS[command], **patch))
+    out = tmp_path / "out.csv"
+    rc = main([command, "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"qsdp: config error: {field}:")
+    assert err.count("\n") == 1
+    assert not out.exists()
