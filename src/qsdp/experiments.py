@@ -4,6 +4,7 @@ computed until the whole config has been checked."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,6 +72,10 @@ def _finish(cfg: dict, used: set) -> None:
 
 def _positive(v):
     return None if v > 0 else f"must be > 0, got {v}"
+
+
+def _non_negative(v):
+    return None if v >= 0 else f"must be >= 0, got {v}"
 
 
 def _positive_list(vs):
@@ -265,9 +270,22 @@ def cmd_converge(cfg: dict, threads: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _quant_from_bits(bit_widths, bucket_size) -> QuantConfig:
+def _quant_from_bits(bit_widths: dict, bucket_size: int, field: str,
+                     extra_keys=()) -> QuantConfig:
+    """QuantConfig from {"weights": bits, "gradients": bits}; a null or
+    missing width leaves that side unquantized.  Errors name `field`."""
+    unknown = set(bit_widths) - {"weights", "gradients", *extra_keys}
+    if unknown:
+        raise ConfigError(f"{field}: unknown key(s) {', '.join(sorted(unknown))}")
     w = bit_widths.get("weights")
     g = bit_widths.get("gradients")
+    for key, v in (("weights", w), ("gradients", g)):
+        if v is not None and (
+            not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= 16
+        ):
+            raise ConfigError(
+                f"{field}: {key} must be an integer in [1, 16] or null, got {v!r}"
+            )
     return QuantConfig(
         quantize_weights=w is not None,
         quantize_gradients=g is not None,
@@ -278,14 +296,15 @@ def _quant_from_bits(bit_widths, bucket_size) -> QuantConfig:
 
 
 def _sim_common(cfg: dict, used: set):
-    layers = _take(cfg, used, "layers", list, check=_positive_list)
+    layers = _take(cfg, used, "layers", list,
+                   check=lambda vs: _int_list(vs) or _positive_list(vs))
     P = _take(cfg, used, "P", int, 1, _positive)
     batch = _take(cfg, used, "batch", int, 64, _positive)
     lr = _take(cfg, used, "lr", float, 0.05, _positive)
     bucket_size = _take(cfg, used, "bucket_size", int, 1024, _positive)
     bandwidth = _take(cfg, used, "bandwidth_bps", float, 1e10, _positive)
-    latency = _take(cfg, used, "latency_s", float, 0.0)
-    compute = _take(cfg, used, "compute_time_s", float, 0.0)
+    latency = _take(cfg, used, "latency_s", float, 0.0, _non_negative)
+    compute = _take(cfg, used, "compute_time_s", float, 0.0, _non_negative)
     overlap = _take(cfg, used, "overlap", bool, True)
     if len(layers) < 2:
         raise ConfigError("layers: need at least input and output widths")
@@ -304,7 +323,7 @@ def cmd_train_sim(cfg: dict, threads: int = 1):
     fixed_batch = _take(cfg, used, "fixed_batch", bool, False)
     _finish(cfg, used)
 
-    quant = _quant_from_bits(bit_widths, bucket_size)
+    quant = _quant_from_bits(bit_widths, bucket_size, "bit_widths")
     header = ["seed", "step", "loss", "allgather_bits", "reducescatter_bits", "step_time_s"]
 
     def one_seed(seed):
@@ -351,27 +370,33 @@ def cmd_bandwidth_sweep(cfg: dict, threads: int = 1):
     bandwidths = _take(cfg, used, "bandwidths_gbps", list, check=_positive_list)
     mode = _take(cfg, used, "mode", str, "bits")
     seed = _take(cfg, used, "seed", int, 0)
+    nets = [
+        dataclasses.replace(base_net, bandwidth_bps=gbps * 1e9) for gbps in bandwidths
+    ]
     if mode == "bits":
         configs = _take(cfg, used, "configs", list)
         _finish(cfg, used)
         if not configs:
             raise ConfigError("configs: must be non-empty")
+        labelled = []
+        for conf in configs:
+            if not isinstance(conf, dict) or "label" not in conf:
+                raise ConfigError("configs: each entry needs a 'label'")
+            labelled.append(
+                (conf["label"], _quant_from_bits(conf, bucket_size, "configs", ("label",)))
+            )
         header = ["label", "bandwidth_bps", "total_bits", "allgather_bits",
                   "reducescatter_bits", "step_time_s"]
         rows = []
 
-        def entry_for(conf):
-            if not isinstance(conf, dict) or "label" not in conf:
-                raise ConfigError("configs: each entry needs a 'label'")
-            quant = _quant_from_bits(conf, bucket_size)
-            return conf["label"], _one_step_entry(layers, P, batch, lr, quant, seed)
+        def entry_for(item):
+            label, quant = item
+            return label, _one_step_entry(layers, P, batch, lr, quant, seed)
 
-        for label, entry in _pmap(entry_for, configs, threads):
-            for gbps in bandwidths:
-                net = NetworkModel(gbps * 1e9, base_net.latency_s,
-                                   base_net.compute_time_s, base_net.overlap)
+        for label, entry in _pmap(entry_for, labelled, threads):
+            for net in nets:
                 rows.append(
-                    [label, gbps * 1e9, entry.total_bits, entry.allgather_bits,
+                    [label, net.bandwidth_bps, entry.total_bits, entry.allgather_bits,
                      entry.reducescatter_bits, simulate_step_time(entry, net)]
                 )
         return header, rows
@@ -391,17 +416,14 @@ def cmd_bandwidth_sweep(cfg: dict, threads: int = 1):
     # idealized compression: a ratio-r buffer ships 1/r of its bits
     for wr in w_ratios:
         for gr in g_ratios:
-            bits = base.allgather_bits / wr + base.reducescatter_bits / gr
-            for gbps in bandwidths:
-                net = NetworkModel(gbps * 1e9, base_net.latency_s,
-                                   base_net.compute_time_s, base_net.overlap)
-                transport = bits / net.bandwidth_bps
-                overhead = net.latency_s * base.collective_count
-                if net.overlap:
-                    t = overhead + max(net.compute_time_s, transport)
-                else:
-                    t = net.compute_time_s + transport + overhead
-                rows.append([f"w{wr}g{gr}", gbps * 1e9, wr, gr, bits, t])
+            scaled = dataclasses.replace(
+                base,
+                allgather_bits=base.allgather_bits / wr,
+                reducescatter_bits=base.reducescatter_bits / gr,
+            )
+            for net in nets:
+                rows.append([f"w{wr}g{gr}", net.bandwidth_bps, wr, gr,
+                             scaled.total_bits, simulate_step_time(scaled, net)])
     return header, rows
 
 

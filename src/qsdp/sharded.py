@@ -15,6 +15,18 @@ draw from it in order, so any worker count replays exactly the same
 quantization draws as the single-process reference implementation, and the
 two must agree bit for bit.
 
+Once warm, a step allocates no array the size of a layer.  A gather writes
+every shard's received values into a scratch buffer and returns it.  The
+reduce-scatter runs worker by worker: one worker's full-layer gradient is
+computed into scratch, its shard messages are sent, and what each owner
+reconstructs is added into a zeroed sum buffer; then the sums are divided by
+P, scaled by the learning rate and subtracted from the shards in place.  Each
+shard still sums 0 + v_0 + ... + v_{P-1} in worker order, so the values match
+the reference.  Scratch belongs to the model instance, one buffer per (role,
+layer kind) grown to the largest layer seen, so separate models (one per
+thread, say) never share it.  The order of `LedgerEntry.transfers` is not part
+of the contract; only the totals over it are.
+
 Communication accounting is peer-to-peer: a shard's encoded message crossing
 to P-1 other workers is counted P-1 times, and transfers that stay on a
 worker cost nothing.  Full-precision transfers carry no framing and are
@@ -329,15 +341,29 @@ class ShardedMLP:
         self.network = network
         self.ledger = CommLedger()
         self._pairs = len(config.widths) - 1
+        self._scratch: dict[tuple[str, str], np.ndarray] = {}
+
+    def _buffer(self, role: str, layer: LayerSpec) -> np.ndarray:
+        """Scratch of layer.size for `role`, shared by every layer of its kind.
+
+        The backing array grows to the largest layer asked for and is then
+        reused, so its contents last only until the next request for the same
+        (role, kind).
+        """
+        key = (role, layer.kind)
+        buf = self._scratch.get(key)
+        if buf is None or buf.size < layer.size:
+            buf = self._scratch[key] = np.empty(layer.size)
+        return buf[: layer.size]
 
     # -- transport -----------------------------------------------------
 
     def _gather(self, step: int, layer_idx: int, phase: int, entry: LedgerEntry):
-        """All-gather one layer; returns the assembled full tensor."""
+        """All-gather one layer into scratch; returns the assembled tensor."""
         layer = self.layers[layer_idx]
         P = self.cfg.P
         quantized = layer.kind == "dense" and self.quant.quantize_weights
-        parts = []
+        full = self._buffer("gather", layer)
         for q, (s, e) in enumerate(self.model.bounds[layer.name]):
             seg = self.model.shards[layer.name][q]
             if seg.size == 0:
@@ -350,85 +376,61 @@ class ShardedMLP:
                     "shift",
                     bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s),
                 )
-                parts.append(received)
-                entry.record(
-                    Transfer(
-                        collective="allgather",
-                        layer=layer.name,
-                        bit_width=self.quant.weight_bits,
-                        nbytes=nbytes,
-                        copies=P - 1,
-                        payload_bits=seg.size * self.quant.weight_bits,
-                    )
-                )
+                full[s:e] = received
+                width = self.quant.weight_bits
             else:
+                full[s:e] = seg
                 width = self.quant.raw_bits if layer.kind == "dense" else 32
-                parts.append(seg.copy())
+                nbytes = seg.size * width // 8
+            entry.record(
+                Transfer(
+                    collective="allgather",
+                    layer=layer.name,
+                    bit_width=width,
+                    nbytes=nbytes,
+                    copies=P - 1,
+                    payload_bits=seg.size * width,
+                )
+            )
+        entry.allgather_events += 1
+        return full
+
+    def _reduce_scatter(self, step, layer_idx, p, grad, total, entry):
+        """Send worker p's gradient shards to their owners.
+
+        Adds what each owner reconstructs into its slice of `total`.
+        """
+        layer = self.layers[layer_idx]
+        quantized = layer.kind == "dense" and self.quant.quantize_gradients
+        for q, (s, e) in enumerate(self.model.bounds[layer.name]):
+            if e == s:
+                continue
+            seg = grad[s:e]
+            if quantized:
+                vals, nbytes = _send(
+                    seg,
+                    self.quant.bucket_size,
+                    self.quant.gradient_bits,
+                    "uniform_stochastic",
+                    bucket_rng(self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, s),
+                )
+                width = self.quant.gradient_bits
+            else:
+                vals = seg
+                width = self.quant.raw_gradient_bits if layer.kind == "dense" else 32
+                nbytes = seg.size * width // 8
+            total[s:e] += vals
+            if p != q:
                 entry.record(
                     Transfer(
-                        collective="allgather",
+                        collective="reducescatter",
                         layer=layer.name,
                         bit_width=width,
-                        nbytes=seg.size * width // 8,
-                        copies=P - 1,
+                        nbytes=nbytes,
+                        copies=1,
                         payload_bits=seg.size * width,
                     )
                 )
-        entry.allgather_events += 1
-        return np.concatenate(parts)
-
-    def _reduce_scatter(self, step, layer_idx, per_worker_grads, entry):
-        """Average dequantized contributions per destination shard."""
-        layer = self.layers[layer_idx]
-        P = self.cfg.P
-        quantized = layer.kind == "dense" and self.quant.quantize_gradients
-        averaged = []
-        for q, (s, e) in enumerate(self.model.bounds[layer.name]):
-            if e == s:
-                averaged.append(np.zeros(0))
-                continue
-            acc = np.zeros(e - s)
-            for p in range(P):
-                seg = per_worker_grads[p][s:e]
-                if quantized:
-                    vals, nbytes = _send(
-                        seg,
-                        self.quant.bucket_size,
-                        self.quant.gradient_bits,
-                        "uniform_stochastic",
-                        bucket_rng(self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, s),
-                    )
-                    if p != q:
-                        entry.record(
-                            Transfer(
-                                collective="reducescatter",
-                                layer=layer.name,
-                                bit_width=self.quant.gradient_bits,
-                                nbytes=nbytes,
-                                copies=1,
-                                payload_bits=seg.size * self.quant.gradient_bits,
-                            )
-                        )
-                else:
-                    width = (
-                        self.quant.raw_gradient_bits if layer.kind == "dense" else 32
-                    )
-                    vals = seg
-                    if p != q:
-                        entry.record(
-                            Transfer(
-                                collective="reducescatter",
-                                layer=layer.name,
-                                bit_width=width,
-                                nbytes=seg.size * width // 8,
-                                copies=1,
-                                payload_bits=seg.size * width,
-                            )
-                        )
-                acc = acc + vals
-            averaged.append(acc / P)
-        entry.reducescatter_events += 1
-        return averaged
 
     # -- per-layer building blocks --------------------------------------
 
@@ -444,26 +446,39 @@ class ShardedMLP:
     def backward_layer(self, step, pair_idx, inputs, outputs, dzs, entry):
         """Re-gather the pair, sync gradients, update shards.
 
+        The reduce-scatter runs worker by worker: each worker's full-layer
+        gradient is computed into one scratch buffer, sent, and summed into
+        the destination shards before the next worker's is computed.
         Returns the dz for the previous pair (None at the input).
         """
         dense_idx = 2 * pair_idx
+        dense, bias = self.layers[dense_idx], self.layers[dense_idx + 1]
         w_full = self._gather(step, dense_idx, PHASE_W_BWD, entry)
         self._gather(step, dense_idx + 1, PHASE_W_BWD, entry)  # bias, fp32
-        w = w_full.reshape(self.layers[dense_idx].shape)
+        w = w_full.reshape(dense.shape)
         P = self.cfg.P
-        dw = [(inputs[p].T @ dzs[p]).ravel() for p in range(P)]
-        db = [dzs[p].sum(axis=0) for p in range(P)]
         dz_prev = None
         if pair_idx > 0:
             dz_prev = [
                 (dzs[p] @ w.T) * (1.0 - outputs[p] ** 2) for p in range(P)
             ]
-        avg_w = self._reduce_scatter(step, dense_idx, dw, entry)
-        avg_b = self._reduce_scatter(step, dense_idx + 1, db, entry)
+        dw, db = self._buffer("grad", dense), self._buffer("grad", bias)
+        w_total, b_total = self._buffer("sum", dense), self._buffer("sum", bias)
+        w_total.fill(0.0)
+        b_total.fill(0.0)
+        for p in range(P):
+            np.matmul(inputs[p].T, dzs[p], out=dw.reshape(dense.shape))
+            dzs[p].sum(axis=0, out=db)
+            self._reduce_scatter(step, dense_idx, p, dw, w_total, entry)
+            self._reduce_scatter(step, dense_idx + 1, p, db, b_total, entry)
+        entry.reducescatter_events += 2
         lr = self.cfg.lr
-        for q in range(P):
-            self.model.shards[self.layers[dense_idx].name][q] -= lr * avg_w[q]
-            self.model.shards[self.layers[dense_idx + 1].name][q] -= lr * avg_b[q]
+        for layer, total in ((dense, w_total), (bias, b_total)):
+            total /= P
+            total *= lr
+            for shard, (s, e) in zip(self.model.shards[layer.name],
+                                     self.model.bounds[layer.name]):
+                shard -= total[s:e]
         return dz_prev
 
     # -- one full step ---------------------------------------------------

@@ -248,6 +248,24 @@ MALFORMED = [
     ("train-sim", {"steps": True}, "steps"),
     ("train-sim", {"P": True}, "P"),
     ("train-sim", {"bucket_size": True}, "bucket_size"),
+    ("train-sim", {"bit_widths": {"weights": "8"}}, "bit_widths"),
+    ("train-sim", {"bit_widths": {"weights": 32}}, "bit_widths"),
+    ("train-sim", {"bit_widths": {"gradients": 0}}, "bit_widths"),
+    ("train-sim", {"bit_widths": {"gradients": 8.0}}, "bit_widths"),
+    ("train-sim", {"bit_widths": {"weights": True}}, "bit_widths"),
+    ("train-sim", {"bit_widths": {"weights": 8, "grads": 8}}, "bit_widths"),
+    ("train-sim", {"bit_widths": {"label": "w8", "weights": 8}}, "bit_widths"),
+    ("train-sim", {"latency_s": -1e-6}, "latency_s"),
+    ("train-sim", {"compute_time_s": -0.001}, "compute_time_s"),
+    ("train-sim", {"layers": [16, 16.5, 4]}, "layers"),
+    ("train-sim", {"layers": [16, 0, 4]}, "layers"),
+    ("bandwidth-sweep", {"configs": [{"label": "a", "weights": "8"}]}, "configs"),
+    ("bandwidth-sweep", {"configs": [{"label": "a", "weights": 8},
+                                     {"label": "b", "grads": 8}]}, "configs"),
+    ("bandwidth-sweep", {"configs": [{"label": "a", "weights": 8},
+                                     {"weights": 8}]}, "configs"),
+    ("bandwidth-sweep", {"latency_s": -1.0}, "latency_s"),
+    ("bandwidth-sweep", {"layers": [16, -4, 4]}, "layers"),
 ]
 
 
@@ -262,4 +280,18 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, command, p
     assert rc == 2
     assert err.startswith(f"qsdp: config error: {field}:")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bandwidth_sweep_checks_every_config_before_computing(tmp_path, monkeypatch):
+    import qsdp.experiments
+
+    steps = []
+    monkeypatch.setattr(qsdp.experiments, "_one_step_entry", lambda *a: steps.append(a))
+    configs = [{"label": "ok", "weights": 8}, {"label": "bad", "weights": 17}]
+    cfg_path = _write(tmp_path, "bw", dict(CONFIGS["bandwidth-sweep"], configs=configs))
+    out = tmp_path / "out.csv"
+    rc = main(["bandwidth-sweep", "--config", cfg_path, "--out", str(out)])
+    assert rc == 2
+    assert steps == []
     assert not out.exists()

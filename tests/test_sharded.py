@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -185,6 +188,92 @@ class TestEquivalence:
         after = sim.full_params()
         assert np.array_equal(before["dense0"], after["dense0"])
         assert np.array_equal(before["bias0"], after["bias0"])
+
+
+class TestScratchBuffers:
+    def test_steady_step_allocates_less_than_one_dense_layer(self):
+        widths = (256, 512, 512, 64)
+        quant = QuantConfig(quantize_weights=False, quantize_gradients=False)
+        sim = _sim(P=4, quant=quant, widths=widths, batch=32)
+        sim.train_step(0)  # warm-up sizes the scratch
+        tracemalloc.start()
+        try:
+            sim.train_step(1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < widths[1] * widths[2] * 8  # one 512x512 float64 layer
+
+    @staticmethod
+    def _pair():
+        # same layer kinds, different sizes, one quantized and one not
+        return (
+            lambda: _sim(P=4, seed=1),
+            lambda: _sim(P=2, seed=2, widths=(32, 80, 10), batch=8,
+                         quant=QuantConfig(quantize_weights=False,
+                                           quantize_gradients=False)),
+        )
+
+    @staticmethod
+    def _outputs(sim, losses, entries):
+        bits = [(e.allgather_bits, e.reducescatter_bits, e.collective_count)
+                for e in entries]
+        params = {k: v.tobytes() for k, v in sim.full_params().items()}
+        return losses, bits, params
+
+    def _solo(self, make, steps):
+        sim = make()
+        losses, entries = [], []
+        for t in range(steps):
+            snapshot = sim.full_params()
+            before = {k: v.copy() for k, v in snapshot.items()}
+            loss, entry = sim.train_step(t)
+            losses.append(loss)
+            entries.append(entry)
+            for k, v in snapshot.items():  # earlier snapshots stay unchanged
+                assert np.array_equal(v, before[k])
+        return self._outputs(sim, losses, entries)
+
+    def test_interleaved_models_match_solo_runs(self):
+        makers = self._pair()
+        solo = [self._solo(make, 4) for make in makers]
+        sims = [make() for make in makers]
+        runs = [([], []) for _ in sims]
+        for t in range(4):
+            for sim, (losses, entries) in zip(sims, runs):
+                loss, entry = sim.train_step(t)
+                losses.append(loss)
+                entries.append(entry)
+        for sim, (losses, entries), expected in zip(sims, runs, solo):
+            assert self._outputs(sim, losses, entries) == expected
+        a, b = sims
+        ga = a._gather(0, 0, PHASE_W_FWD, LedgerEntry(step=0))
+        gb = b._gather(0, 0, PHASE_W_FWD, LedgerEntry(step=0))
+        assert not np.shares_memory(ga, gb)
+
+    def test_models_in_threads_match_solo_runs(self):
+        makers = self._pair() * 2  # more threads than cores
+        solo = [self._solo(make, 3) for make in makers]
+        results = [None] * len(makers)
+
+        def work(i):
+            sim = makers[i]()
+            out = [sim.train_step(t) for t in range(3)]
+            losses, entries = zip(*out)
+            results[i] = self._outputs(sim, list(losses), list(entries))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(makers))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == solo
 
 
 class TestLedger:
