@@ -34,7 +34,6 @@ from .lattice_oracle import (
     gradient_quantizer_variance_budget,
 )
 from .sharded import (
-    CommLedger,
     LayerSpec,
     NetworkModel,
     QuantConfig,

@@ -1,6 +1,6 @@
 """Command-line batch runner: JSON config in, CSV out.
 
-    qsdp <command> --config <path.json> --out <path.csv> [--no-timestamp] [--threads N]
+    qsdp <command> --config <path.json> --out <path.csv> [--no-timestamp]
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="suppress the timestamp header line for byte-reproducible output",
         )
-        cmd.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -56,9 +55,7 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        header, rows = dispatch(args.command, cfg, threads=args.threads)
+        header, rows = dispatch(args.command, cfg)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"qsdp: config error: {exc}", file=sys.stderr)
         return 2

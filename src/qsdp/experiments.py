@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,6 +56,8 @@ def _take(cfg: dict, used: set, key: str, kind, default=_MISSING, check=None):
         not isinstance(val, kind) or (kind is int and isinstance(val, bool))
     ):
         raise ConfigError(f"{key}: expected {getattr(kind, '__name__', kind)}, got {val!r}")
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"{key}: must be finite, got {val!r}")
     if check is not None:
         err = check(val)
         if err:
@@ -82,8 +83,9 @@ def _positive_list(vs):
     if not vs:
         return "must be non-empty"
     for v in vs:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            return f"entries must be > 0, got {v!r}"
+        if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                or not math.isfinite(v) or v <= 0):
+            return f"entries must be finite and > 0, got {v!r}"
     return None
 
 
@@ -91,23 +93,16 @@ def _int_list(vs):
     if not vs:
         return "must be non-empty"
     for v in vs:
-        if not isinstance(v, int) or isinstance(v, bool):
-            return f"entries must be integers, got {v!r}"
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            return f"entries must be integers >= 0, got {v!r}"
     return None
 
 
 def _number_list(vs):
     for v in vs:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            return f"entries must be numbers, got {v!r}"
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            return f"entries must be finite numbers, got {v!r}"
     return None
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -115,22 +110,20 @@ def _pmap(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def cmd_quant_stats(cfg: dict, threads: int = 1):
+def cmd_quant_stats(cfg: dict):
     used: set = set()
     deltas = _take(cfg, used, "deltas", list, [0.1, 0.5, 1.0], _positive_list)
     num_scalars = _take(cfg, used, "num_scalars", int, 20, _positive)
     samples = _take(cfg, used, "samples", int, 100_000, _positive)
-    seed = _take(cfg, used, "seed", int, 0)
+    seed = _take(cfg, used, "seed", int, 0, _non_negative)
     sparsity_dim = _take(cfg, used, "sparsity_dim", int, 32, _positive)
     sparsity_vectors = _take(cfg, used, "sparsity_vectors", int, 5, _positive)
     _finish(cfg, used)
 
     header = ["kind", "delta", "x", "n", "estimate", "target", "tolerance", "passed"]
-
-    def one_delta(args):
-        di, delta = args
+    rows = []
+    for di, delta in enumerate(deltas):
         rng = np.random.default_rng((seed, di))
-        rows = []
         ints = rng.integers(-3, 4, num_scalars)
         fracs = rng.uniform(0.1, 0.9, num_scalars)
         for x in delta * (ints + fracs):
@@ -162,10 +155,7 @@ def cmd_quant_stats(cfg: dict, threads: int = 1):
             rows.append(
                 ["sparsity", delta, bound, n_r, est, bound, tol, est <= bound + tol]
             )
-        return rows
-
-    chunks = _pmap(one_delta, list(enumerate(deltas)), threads)
-    return header, [row for chunk in chunks for row in chunk]
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +163,7 @@ def cmd_quant_stats(cfg: dict, threads: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def cmd_converge(cfg: dict, threads: int = 1):
+def cmd_converge(cfg: dict):
     used: set = set()
     diagonal = _take(cfg, used, "diagonal", list, check=_positive_list)
     n = len(diagonal)
@@ -185,7 +175,7 @@ def cmd_converge(cfg: dict, threads: int = 1):
     seeds = _take(cfg, used, "seeds", list, check=_int_list)
     gradient_bits = _take(cfg, used, "gradient_bits", int, None)
     bench_samples = _take(cfg, used, "benchmark_samples", int, 100_000, _positive)
-    bench_seed = _take(cfg, used, "benchmark_seed", int, 1)
+    bench_seed = _take(cfg, used, "benchmark_seed", int, 1, _non_negative)
     budget_draws = _take(cfg, used, "budget_draws", int, 128, _positive)
     keep_trace = _take(cfg, used, "trace", bool, True)
     _finish(cfg, used)
@@ -224,41 +214,26 @@ def cmd_converge(cfg: dict, threads: int = 1):
         gradient_variance=grad_var, gradient_bit_width=gradient_bits,
     )
 
-    def run_chunk(chunk):
-        return run(
-            problem, plan, x0, chunk,
-            gradient_quantizer=quantizer, benchmark=bench.mean,
-            keep_traces=keep_trace,
-        )
-
-    n_chunks = min(max(threads, 1), len(seeds))
-    chunks = [list(seeds[i::n_chunks]) for i in range(n_chunks)]
-    results = _pmap(run_chunk, chunks, threads)
-    by_seed = {}
-    for res in results:
-        for trace in res.traces:
-            by_seed[trace.seed] = trace
+    result = run(
+        problem, plan, x0, seeds,
+        gradient_quantizer=quantizer, benchmark=bench.mean, keep_traces=keep_trace,
+    )
 
     header = [
         "record", "seed", "step", "f", "gap", "quant_error_norm", "grad_norm",
         "eta", "delta", "T", "benchmark", "benchmark_se", "passed",
     ]
     rows = []
-    finals = []
-    for seed in seeds:
-        trace = by_seed[int(seed)]
-        finals.append(trace.final_objective)
+    for seed, trace in zip(seeds, result.traces):
         for t, rec in enumerate(trace.steps, start=1):
             rows.append(
                 ["trace", seed, t, rec.objective, rec.objective - bench.mean,
                  rec.quantization_error, rec.gradient_norm, "", "", "", "", "", ""]
             )
-    finals = np.asarray(finals)
-    mean_gap = float(finals.mean()) - bench.mean
-    se = float(finals.std(ddof=1) / math.sqrt(finals.size)) if finals.size > 1 else 0.0
-    tol = epsilon + 2 * math.sqrt(se**2 + bench.standard_error**2)
+    mean_gap = result.mean_final - bench.mean
+    tol = epsilon + 2 * math.sqrt(result.stderr_final**2 + bench.standard_error**2)
     rows.append(
-        ["summary", "", plan.iteration_count, float(finals.mean()), mean_gap, "", "",
+        ["summary", "", plan.iteration_count, result.mean_final, mean_gap, "", "",
          plan.eta, plan.fine_resolution, plan.iteration_count,
          bench.mean, bench.standard_error, mean_gap <= tol]
     )
@@ -314,7 +289,7 @@ def _sim_common(cfg: dict, used: set):
     return layers, P, batch, lr, bucket_size, network
 
 
-def cmd_train_sim(cfg: dict, threads: int = 1):
+def cmd_train_sim(cfg: dict):
     used: set = set()
     layers, P, batch, lr, bucket_size, network = _sim_common(cfg, used)
     bit_widths = _take(cfg, used, "bit_widths", dict, {"weights": 8, "gradients": 8})
@@ -325,8 +300,8 @@ def cmd_train_sim(cfg: dict, threads: int = 1):
 
     quant = _quant_from_bits(bit_widths, bucket_size, "bit_widths")
     header = ["seed", "step", "loss", "allgather_bits", "reducescatter_bits", "step_time_s"]
-
-    def one_seed(seed):
+    rows = []
+    for seed in seeds:
         sim = ShardedMLP(
             SimConfig(
                 widths=tuple(layers), P=P, batch=batch, lr=lr, quant=quant,
@@ -335,17 +310,13 @@ def cmd_train_sim(cfg: dict, threads: int = 1):
             ),
             network=network,
         )
-        rows = []
         for t in range(steps):
             loss, entry = sim.train_step(t)
             rows.append(
                 [seed, t, loss, entry.allgather_bits, entry.reducescatter_bits,
                  entry.step_time_s]
             )
-        return rows
-
-    chunks = _pmap(one_seed, list(seeds), threads)
-    return header, [row for chunk in chunks for row in chunk]
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +335,12 @@ def _one_step_entry(layers, P, batch, lr, quant, seed):
     return entry
 
 
-def cmd_bandwidth_sweep(cfg: dict, threads: int = 1):
+def cmd_bandwidth_sweep(cfg: dict):
     used: set = set()
     layers, P, batch, lr, bucket_size, base_net = _sim_common(cfg, used)
     bandwidths = _take(cfg, used, "bandwidths_gbps", list, check=_positive_list)
     mode = _take(cfg, used, "mode", str, "bits")
-    seed = _take(cfg, used, "seed", int, 0)
+    seed = _take(cfg, used, "seed", int, 0, _non_negative)
     nets = [
         dataclasses.replace(base_net, bandwidth_bps=gbps * 1e9) for gbps in bandwidths
     ]
@@ -388,12 +359,8 @@ def cmd_bandwidth_sweep(cfg: dict, threads: int = 1):
         header = ["label", "bandwidth_bps", "total_bits", "allgather_bits",
                   "reducescatter_bits", "step_time_s"]
         rows = []
-
-        def entry_for(item):
-            label, quant = item
-            return label, _one_step_entry(layers, P, batch, lr, quant, seed)
-
-        for label, entry in _pmap(entry_for, labelled, threads):
+        for label, quant in labelled:
+            entry = _one_step_entry(layers, P, batch, lr, quant, seed)
             for net in nets:
                 rows.append(
                     [label, net.bandwidth_bps, entry.total_bits, entry.allgather_bits,
@@ -471,7 +438,7 @@ def learned_vs_uniform_error(
     return rel_err(uniform), rel_err(table), table
 
 
-def cmd_learn_levels(cfg: dict, threads: int = 1):
+def cmd_learn_levels(cfg: dict):
     used: set = set()
     distribution = _take(cfg, used, "distribution", str, "gaussian")
     num_values = _take(cfg, used, "num_values", int, 100_000, _positive)
@@ -479,7 +446,7 @@ def cmd_learn_levels(cfg: dict, threads: int = 1):
     passes = _take(cfg, used, "passes", int, 1, _positive)
     learning_rate = _take(cfg, used, "learning_rate", float, 0.01, _positive)
     bucket_size = _take(cfg, used, "bucket_size", int, 1024, _positive)
-    seed = _take(cfg, used, "seed", int, 0)
+    seed = _take(cfg, used, "seed", int, 0, _non_negative)
     _finish(cfg, used)
     if distribution not in ("gaussian", "uniform"):
         raise ConfigError(f"distribution: expected gaussian or uniform, got {distribution!r}")
@@ -510,7 +477,7 @@ COMMANDS = {
 }
 
 
-def dispatch(command: str, cfg: dict, threads: int = 1):
+def dispatch(command: str, cfg: dict):
     if command not in COMMANDS:
         raise ConfigError(f"unknown experiment command {command!r}")
     declared = cfg.get("experiment")
@@ -518,4 +485,4 @@ def dispatch(command: str, cfg: dict, threads: int = 1):
         raise ConfigError(
             f"experiment: config declares {declared!r} but command is {command!r}"
         )
-    return COMMANDS[command](cfg, threads=threads)
+    return COMMANDS[command](cfg)

@@ -8,7 +8,6 @@ coupled to eta through the grid derivation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +34,6 @@ __all__ = [
     "qsdp_step",
     "run",
     "UniformStochasticGradientQuantizer",
-    "write_trace_csv",
 ]
 
 _CEIL_GUARD = 1e-9
@@ -267,11 +265,11 @@ def run(
 ) -> RunResult:
     """Execute the planned iteration for every seed independently.
 
-    Seeds are deterministic and order-independent, so callers may fan them
-    out across threads without changing the result.  Per-step records
-    (`qsdp_step`'s objective, norms and shift) are built only with
-    `keep_traces`; without it each seed's trace holds just its final
-    objective, gap and bit count, and the objective is evaluated once.
+    Each seed draws from its own generator, so its trace does not depend on
+    the other seeds or their order; traces come back in `seeds` order.
+    Per-step records (`qsdp_step`'s objective, norms and shift) are built
+    only with `keep_traces`; without it each seed's trace holds just its
+    final objective, gap and bit count, and the objective is evaluated once.
     """
     x0 = np.asarray(x0, dtype=float)
     ref = benchmark if benchmark is not None else (problem.optimal_value or 0.0)
@@ -304,22 +302,3 @@ def run(
         traces=traces,
         gradient_bits_per_seed=np.asarray(bits_per_seed, dtype=np.int64),
     )
-
-
-def write_trace_csv(traces: list[IterateTrace], path, benchmark: float = 0.0) -> None:
-    """Emit (seed, step, f, gap, quant_error_norm, grad_norm) rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "step", "f", "gap", "quant_error_norm", "grad_norm"])
-        for trace in traces:
-            for t, rec in enumerate(trace.steps, start=1):
-                w.writerow(
-                    [
-                        trace.seed,
-                        t,
-                        repr(rec.objective),
-                        repr(rec.objective - benchmark),
-                        repr(rec.quantization_error),
-                        repr(rec.gradient_norm),
-                    ]
-                )

@@ -68,13 +68,10 @@ class BucketSpec:
     """Fixed-size bucketing with independent min-max normalization."""
 
     bucket_size: int = 1024
-    normalization: str = "min_max"
 
     def __post_init__(self):
         if self.bucket_size < 1:
             raise ValueError(f"bucket_size must be >= 1, got {self.bucket_size}")
-        if self.normalization != "min_max":
-            raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass

@@ -36,7 +36,6 @@ float64).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -57,7 +56,6 @@ __all__ = [
     "NetworkModel",
     "Transfer",
     "LedgerEntry",
-    "CommLedger",
     "ShardedModel",
     "shard_bounds",
     "shard_parameters",
@@ -100,8 +98,6 @@ class QuantConfig:
     weight_bits: int = 8
     gradient_bits: int = 8
     bucket_size: int = 1024
-    raw_bits: int = 32            # ledger width of uncompressed weight transfers
-    raw_gradient_bits: int = 32   # dense-gradient ledger width when unquantized
 
     def __post_init__(self):
         for name in ("weight_bits", "gradient_bits"):
@@ -109,8 +105,6 @@ class QuantConfig:
                 raise ValueError(f"{name} must be in [1, 16]")
         if self.bucket_size < 1:
             raise ValueError("bucket_size must be >= 1")
-        if self.raw_bits % 8 or self.raw_gradient_bits % 8:
-            raise ValueError("raw transfer widths must be whole bytes")
 
 
 @dataclass(frozen=True)
@@ -151,8 +145,6 @@ class LedgerEntry:
     step: int
     allgather_bits: int = 0
     reducescatter_bits: int = 0
-    allgather_payload_bits: int = 0
-    reducescatter_payload_bits: int = 0
     allgather_events: int = 0
     reducescatter_events: int = 0
     transfers: list[Transfer] = field(default_factory=list)
@@ -168,37 +160,10 @@ class LedgerEntry:
 
     def record(self, transfer: Transfer) -> None:
         self.transfers.append(transfer)
-        bits = transfer.total_bits
-        payload = transfer.payload_bits * transfer.copies
         if transfer.collective == "allgather":
-            self.allgather_bits += bits
-            self.allgather_payload_bits += payload
+            self.allgather_bits += transfer.total_bits
         else:
-            self.reducescatter_bits += bits
-            self.reducescatter_payload_bits += payload
-
-
-class CommLedger:
-    """Per-step communication record with CSV export."""
-
-    def __init__(self):
-        self.entries: list[LedgerEntry] = []
-
-    def append(self, entry: LedgerEntry) -> None:
-        self.entries.append(entry)
-
-    def to_csv(self, path, no_timestamp: bool = True) -> None:
-        with open(path, "w", newline="") as fh:
-            if not no_timestamp:
-                import datetime
-
-                fh.write(f"# generated {datetime.datetime.now().isoformat()}\n")
-            w = csv.writer(fh)
-            w.writerow(["step", "allgather_bits", "reducescatter_bits", "step_time_s"])
-            for e in self.entries:
-                w.writerow(
-                    [e.step, e.allgather_bits, e.reducescatter_bits, repr(e.step_time_s)]
-                )
+            self.reducescatter_bits += transfer.total_bits
 
 
 def simulate_step_time(entry: LedgerEntry, network: NetworkModel) -> float:
@@ -339,7 +304,7 @@ class ShardedMLP:
         params = init_mlp_params(list(config.widths), config.param_seed)
         self.model = shard_parameters(params, self.layers, config.P)
         self.network = network
-        self.ledger = CommLedger()
+        self.ledger: list[LedgerEntry] = []
         self._pairs = len(config.widths) - 1
         self._scratch: dict[tuple[str, str], np.ndarray] = {}
 
@@ -380,7 +345,7 @@ class ShardedMLP:
                 width = self.quant.weight_bits
             else:
                 full[s:e] = seg
-                width = self.quant.raw_bits if layer.kind == "dense" else 32
+                width = 32
                 nbytes = seg.size * width // 8
             entry.record(
                 Transfer(
@@ -417,7 +382,7 @@ class ShardedMLP:
                 width = self.quant.gradient_bits
             else:
                 vals = seg
-                width = self.quant.raw_gradient_bits if layer.kind == "dense" else 32
+                width = 32
                 nbytes = seg.size * width // 8
             total[s:e] += vals
             if p != q:

@@ -296,7 +296,7 @@ def test_criterion_8_ledger_exactness(sharded_runs):
     layers = {l.name: l for l in sim.layers}
     n_layers = len(sim.layers)
     ok = True
-    for entry in sim.ledger.entries:
+    for entry in sim.ledger:
         recorded = entry.allgather_bits + entry.reducescatter_bits
         from_log = sum(t.nbytes * 8 * t.copies for t in entry.transfers)
         ok &= recorded == from_log
@@ -316,7 +316,7 @@ def test_criterion_8_ledger_exactness(sharded_runs):
                 ok &= t.nbytes == expected
     _report(
         8, "ledger exactness and exemptions", ok,
-        f"{len(sim.ledger.entries)} steps checked, "
+        f"{len(sim.ledger)} steps checked, "
         "2 allgather + 1 reducescatter per layer, biases full precision",
         time.perf_counter() - t0, 30,
     )

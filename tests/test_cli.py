@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -93,13 +94,27 @@ def test_timestamp_header_present_by_default(tmp_path):
     assert out.read_text().startswith("# generated ")
 
 
-def test_threads_do_not_change_output(tmp_path):
+def test_threads_flag_is_rejected(tmp_path):
     cfg_path = _write(tmp_path, "converge", CONFIGS["converge"])
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    assert main(["converge", "--config", cfg_path, "--out", str(out1), "--no-timestamp"]) == 0
-    assert main(["converge", "--config", cfg_path, "--out", str(out2),
-                 "--no-timestamp", "--threads", "4"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--config", cfg_path, "--out", str(tmp_path / "o.csv"),
+              "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_converge_trace_rows_follow_config_seed_order(tmp_path):
+    def trace_rows(seeds):
+        name = "converge-" + "-".join(map(str, seeds))
+        cfg_path = _write(tmp_path, name, dict(CONFIGS["converge"], seeds=seeds, trace=True))
+        out = tmp_path / f"{name}.csv"
+        assert main(["converge", "--config", cfg_path, "--out", str(out), "--no-timestamp"]) == 0
+        return [r for r in _rows(out)[1:] if r[0] == "trace"]
+
+    rows = trace_rows([2, 0, 1])
+    seed_runs = [r[1] for i, r in enumerate(rows) if i == 0 or r[1] != rows[i - 1][1]]
+    assert seed_runs == ["2", "0", "1"]
+    for seed in (2, 0, 1):
+        assert [r for r in rows if r[1] == str(seed)] == trace_rows([seed])
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -266,6 +281,19 @@ MALFORMED = [
                                      {"weights": 8}]}, "configs"),
     ("bandwidth-sweep", {"latency_s": -1.0}, "latency_s"),
     ("bandwidth-sweep", {"layers": [16, -4, 4]}, "layers"),
+    ("train-sim", {"latency_s": math.inf}, "latency_s"),
+    ("train-sim", {"bandwidth_bps": math.inf}, "bandwidth_bps"),
+    ("bandwidth-sweep", {"bandwidths_gbps": [10, math.inf]}, "bandwidths_gbps"),
+    ("converge", {"epsilon": math.inf}, "epsilon"),
+    ("converge", {"delta_star": math.inf}, "delta_star"),
+    ("converge", {"x0": [math.nan, 1.0]}, "x0"),
+    ("quant-stats", {"deltas": [math.inf]}, "deltas"),
+    ("converge", {"seeds": [-1]}, "seeds"),
+    ("converge", {"benchmark_seed": -1}, "benchmark_seed"),
+    ("train-sim", {"seeds": [0, -1]}, "seeds"),
+    ("quant-stats", {"seed": -1}, "seed"),
+    ("bandwidth-sweep", {"seed": -1}, "seed"),
+    ("learn-levels", {"seed": -1}, "seed"),
 ]
 
 

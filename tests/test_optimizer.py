@@ -12,7 +12,6 @@ from qsdp.optimizer import (
     make_plan,
     qsdp_step,
     run,
-    write_trace_csv,
 )
 from qsdp.problems import quadratic_problem
 from qsdp.quantize import BucketSpec
@@ -209,16 +208,6 @@ class TestRun:
         res = run(p, plan, np.ones(4), seeds=range(50))
         # benchmark is >= f* = 0, so the raw objective must come close too
         assert res.mean_final <= 0.05
-
-    def test_trace_csv(self, tmp_path):
-        p = quadratic_problem(np.eye(2), sigma=0.1)
-        plan = make_plan(p, epsilon=0.2, delta_star=0.5, initial_gap=2.0)
-        res = run(p, plan, np.ones(2), seeds=[0], keep_traces=True)
-        out = tmp_path / "trace.csv"
-        write_trace_csv(res.traces, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "seed,step,f,gap,quant_error_norm,grad_norm"
-        assert len(lines) == 1 + plan.iteration_count
 
 
 class TestStochasticStepping:

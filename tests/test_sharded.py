@@ -321,28 +321,6 @@ class TestLedger:
         assert dense_payload(e32, "allgather") == 4 * dense_payload(e8, "allgather")
         assert dense_payload(e32, "reducescatter") == 4 * dense_payload(e8, "reducescatter")
 
-    def test_half_precision_gradient_ledger(self):
-        quant = QuantConfig(quantize_weights=False, quantize_gradients=False,
-                            raw_gradient_bits=16)
-        sim = _sim(P=2, quant=quant)
-        _, entry = sim.train_step(0)
-        dense_rs = [t for t in entry.transfers
-                    if t.collective == "reducescatter" and t.layer.startswith("dense")]
-        assert all(t.bit_width == 16 for t in dense_rs)
-        bias_rs = [t for t in entry.transfers
-                   if t.collective == "reducescatter" and t.layer.startswith("bias")]
-        assert all(t.bit_width == 32 for t in bias_rs)
-
-    def test_csv_export(self, tmp_path):
-        sim = _sim(P=2, network=NetworkModel(1e10, 1e-6, 1e-3))
-        sim.train_step(0)
-        sim.train_step(1)
-        out = tmp_path / "ledger.csv"
-        sim.ledger.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "step,allgather_bits,reducescatter_bits,step_time_s"
-        assert len(lines) == 3
-
 
 class TestStepTime:
     def test_infinite_bandwidth_limit(self):
