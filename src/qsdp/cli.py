@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"qsdp: config error: {exc}", file=sys.stderr)
         return 2
-    except (FloatingPointError, np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
         print(f"qsdp: numerical failure: {exc}", file=sys.stderr)
         return 3
 

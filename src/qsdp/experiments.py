@@ -198,6 +198,9 @@ def cmd_converge(cfg: dict):
     )
     x0 = np.asarray(x0, dtype=float)
     gap0 = problem.objective(x0) - bench.mean
+    if not all(map(math.isfinite, (bench.mean, bench.standard_error, gap0))):
+        raise RuntimeError(f"benchmark {bench.mean!r} (se {bench.standard_error!r}) "
+                           f"or initial gap {gap0!r} is not finite")
 
     quantizer = None
     grad_var = 0.0

@@ -28,18 +28,21 @@ __all__ = [
 MAX_ENUMERATION = 10**8
 
 
-def _separable_min(problem: ProblemSpec, delta_star: float, r: float):
-    """Exact per-coordinate minimization for diagonal quadratics."""
+def _separable_argmin(problem: ProblemSpec, delta_star: float, rs: np.ndarray):
+    """Exact per-coordinate lattice minimization for a diagonal quadratic.
+
+    For each shift in `rs`, each coordinate takes the better of the floor
+    and ceil lattice neighbours of its unconstrained minimizer b_i / a_i.
+    Returns (x, vals), both (shifts, n): the minimizers and the smaller of
+    the two neighbours' terms 0.5 a_i x_i^2 - b_i x_i (NaN if either is).
+    """
     a = np.diag(problem.matrix)
     b = problem.linear
-    xhat = b / a
-    k_lo = np.floor((xhat - r) / delta_star)
-    best_x = np.empty_like(xhat)
-    for i in range(xhat.size):
-        cands = (np.array([k_lo[i], k_lo[i] + 1.0]) * delta_star) + r
-        vals = 0.5 * a[i] * cands**2 - b[i] * cands
-        best_x[i] = cands[int(np.argmin(vals))]
-    return best_x, problem.objective(best_x)
+    k_lo = np.floor((b / a - rs[:, None]) / delta_star)
+    x_lo, x_hi = (k * delta_star + rs[:, None] for k in (k_lo, k_lo + 1.0))
+    f_lo, f_hi = (0.5 * a * x**2 - b * x for x in (x_lo, x_hi))
+    up = (f_hi < f_lo) | (np.isnan(f_hi) & ~np.isnan(f_lo))  # as np.argmin picks
+    return np.where(up, x_hi, x_lo), np.minimum(f_lo, f_hi)
 
 
 def brute_force_lattice_min(
@@ -66,7 +69,8 @@ def brute_force_lattice_min(
     if mode == "separable":
         if not problem.is_diagonal_quadratic():
             raise ValueError("separable mode requires a diagonal quadratic")
-        return _separable_min(problem, delta_star, r)
+        best_x = _separable_argmin(problem, delta_star, np.array([r]))[0][0]
+        return best_x, problem.objective(best_x)
 
     if problem.minimizer is None or problem.optimal_value is None:
         raise ValueError("exhaustive mode requires a known minimizer")
@@ -127,14 +131,7 @@ def benchmark_expectation(
     if mode == "auto":
         mode = "separable" if problem.is_diagonal_quadratic() else "exhaustive"
     if mode == "separable":
-        a = np.diag(problem.matrix)
-        b = problem.linear
-        xhat = b / a
-        # candidates (samples, n, 2): floor and ceil lattice neighbors of xhat
-        k_lo = np.floor((xhat[None, :] - rs[:, None]) / delta_star)
-        cands = np.stack([k_lo, k_lo + 1.0], axis=-1) * delta_star + rs[:, None, None]
-        vals = 0.5 * a[None, :, None] * cands**2 - b[None, :, None] * cands
-        f = vals.min(axis=-1).sum(axis=-1)
+        f = _separable_argmin(problem, delta_star, rs)[1].sum(axis=-1)
     else:
         f = np.array(
             [brute_force_lattice_min(problem, delta_star, r, mode=mode)[1] for r in rs]

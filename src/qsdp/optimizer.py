@@ -197,7 +197,7 @@ class UniformStochasticGradientQuantizer:
             g, self.bucket.bucket_size, self.bit_width, "uniform_stochastic", rng
         )
         bits = segment_size_bits(seg.length, self.bucket.bucket_size, self.bit_width)
-        return dequantize_segment(seg, "uniform_stochastic"), bits
+        return dequantize_segment(seg), bits
 
 
 def _all_finite(a: np.ndarray) -> bool:

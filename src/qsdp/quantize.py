@@ -1,8 +1,8 @@
 """Stochastic quantization primitives.
 
 Two lattice quantizers (random-shift rounding and per-coordinate coin-flip
-rounding), bucketed min-max codebook quantization for transport, and
-gradient-descent-optimized level tables for non-uniform codebooks.
+rounding), bucketed min-max quantization for transport, and
+gradient-descent-optimized level tables for the learned-levels experiment.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ __all__ = [
     "sample_shift",
 ]
 
-AFFINE_MODES = ("shift", "flip", "uniform_stochastic")
-INNER_MODES = AFFINE_MODES + ("levels",)
+INNER_MODES = ("shift", "uniform_stochastic")
 
 
 def _check_finite(v: np.ndarray, what: str = "value") -> None:
@@ -80,8 +79,7 @@ class QuantizedBlock:
 
     The grid spans [scale_lo, scale_hi] with pitch
     (scale_hi - scale_lo) / (2**bit_width - 1); reconstruction is
-    ``scale_lo + code * pitch + shift``.  For level-table blocks the codes
-    index the table instead and shift is 0.  Scales and shift are stored as
+    ``scale_lo + code * pitch + shift``.  Scales and shift are stored as
     float32-exact values when produced by the bucketed transport path.
     """
 
@@ -205,29 +203,13 @@ def qflip_quantize(v, resolution: float, rng: np.random.Generator) -> QuantizedB
     return _offset_block(k, resolution, 0.0)
 
 
-def dequantize(
-    block: QuantizedBlock, mode: str = "shift", levels: "LevelTable | None" = None
-) -> np.ndarray:
-    """Reconstruct real values from a block.
-
-    Affine modes (shift, flip, uniform_stochastic) decode as
-    scale_lo + code * pitch + shift.  Mode "levels" maps codes through the
-    level table on [0, 1] before denormalizing.
-    """
-    if mode not in INNER_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+def dequantize(block: QuantizedBlock) -> np.ndarray:
+    """Reconstruct real values from a block: scale_lo + code * pitch + shift."""
     codes = np.asarray(block.codes)
     if codes.size and int(codes.max()) >= (1 << block.bit_width):
         raise ValueError(
             f"corrupted code >= 2**{block.bit_width} cannot be decoded"
         )
-    if mode == "levels":
-        if levels is None:
-            raise ValueError("mode 'levels' requires a LevelTable")
-        if levels.levels.size != (1 << block.bit_width):
-            raise ValueError("level table size does not match bit_width")
-        span = block.scale_hi - block.scale_lo
-        return block.scale_lo + levels.levels[codes] * span
     return block.scale_lo + codes * block.pitch + block.shift
 
 
@@ -279,7 +261,7 @@ def _reject_untransportable(v: np.ndarray) -> None:
     )
 
 
-def _quantize_rows(x, v, bit_width, inner, rng, levels):
+def _quantize_rows(x, v, bit_width, inner, rng):
     """Quantize each row of `x`, a 2-D view of segment `v`, as one bucket.
 
     Rows take draws from `rng` in order, and only non-degenerate rows draw,
@@ -301,7 +283,7 @@ def _quantize_rows(x, v, bit_width, inner, rng, levels):
         y, l, h = x, lo, hi
     else:
         y, l, h = x[live], lo[live], hi[live]
-    q, shift = _code(y, l[:, None], (h - l)[:, None], bit_width, inner, rng, levels)
+    q, shift = _code(y, l[:, None], (h - l)[:, None], bit_width, inner, rng)
     shift = np.ravel(shift) if inner == "shift" else np.zeros(n_live)
     if n_live == live.size:
         return q, shift, lo, hi
@@ -312,7 +294,7 @@ def _quantize_rows(x, v, bit_width, inner, rng, levels):
     return codes, shifts, lo, hi
 
 
-def _quantize_row(row, v, bit_width, inner, rng, levels):
+def _quantize_row(row, v, bit_width, inner, rng):
     """Quantize `row`, a 1-D view of segment `v`, as one bucket.
 
     The arithmetic of _quantize_rows with Python-float metadata, which
@@ -325,17 +307,17 @@ def _quantize_row(row, v, bit_width, inner, rng, levels):
     lo, hi = float(np.float32(lo)), float(np.float32(hi))
     if lo == hi:  # degenerate: all-zero codes, no shift and no draw
         return np.zeros(row.size, np.uint32), 0.0, lo, hi
-    codes, shift = _code(row, lo, hi - lo, bit_width, inner, rng, levels)
+    codes, shift = _code(row, lo, hi - lo, bit_width, inner, rng)
     return codes, float(shift), lo, hi
 
 
-def _code(y, lo, span, bit_width, inner, rng, levels):
+def _code(y, lo, span, bit_width, inner, rng):
     """Codes of `y` in buckets spanning [lo, lo + span], span > 0.
 
     `lo` and `span` are floats for one bucket, or (buckets, 1) columns for
     the rows of a 2-D `y`.  Shift mode draws one shift per bucket in order.
     Returns (codes, shift): shift float32-exact and shaped as `span`, or 0.0
-    for the other modes.
+    for uniform_stochastic.
     """
     top = (1 << bit_width) - 1
     u = y - lo
@@ -348,13 +330,6 @@ def _code(y, lo, span, bit_width, inner, rng, levels):
         u /= pitch
         q = _clip(np.rint(u, out=u), 0, top)  # ties to even, as np.round
         return q.astype(np.uint32), (r * span).astype(np.float32).astype(np.float64)
-    if inner == "levels":
-        if levels is None:
-            raise ValueError("inner 'levels' requires a LevelTable")
-        q = quantize_with_levels(u, levels, stochastic=False)
-        if int(q.max()) > top:
-            raise ValueError(f"code out of range for bit_width {bit_width}")
-        return q.astype(np.uint32), 0.0
     return _stochastic_codes(u, bit_width, rng).astype(np.uint32), 0.0
 
 
@@ -370,15 +345,17 @@ def quantize_segment(
     bit_width: int,
     inner: str,
     rng: np.random.Generator,
-    levels: "LevelTable | None" = None,
 ) -> Segment:
     """Min-max quantize consecutive buckets of `v` as one segment.
 
     Each bucket is normalized to [0, 1] by its own float32-rounded minimum
-    and maximum and quantized with `inner`; a degenerate bucket (all values
-    equal) gets all-zero codes and decodes to the constant exactly.  The
-    buckets draw from `rng` in order, so the result equals quantizing them
-    one at a time from the same generator.
+    and maximum and rounded onto the 2**bit_width point grid by `inner`:
+    "shift" (nearest point after one random shift per bucket, for weights)
+    or "uniform_stochastic" (unbiased per-value rounding, for gradients).
+    Either way the segment decodes from its own fields alone.  A degenerate
+    bucket (all values equal) gets all-zero codes and decodes to the constant
+    exactly.  The buckets draw from `rng` in order, so the result equals
+    quantizing them one at a time from the same generator.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -395,50 +372,37 @@ def quantize_segment(
     k, tail_len = divmod(v.size, size)
     if k > 1:
         rows = v[: k * size].reshape(k, size)
-        codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng, levels)
+        codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng)
     else:
-        row, shift, lo, hi = _quantize_row(v[:size], v, bit_width, inner, rng, levels)
+        row, shift, lo, hi = _quantize_row(v[:size], v, bit_width, inner, rng)
         codes, shift, lo, hi = row[None], np.array([shift]), np.array([lo]), np.array([hi])
     if not tail_len:
         return Segment(codes, _NO_TAIL, shift, lo, hi, bit_width)
-    tail, *tail_meta = _quantize_row(v[k * size :], v, bit_width, inner, rng, levels)
+    tail, *tail_meta = _quantize_row(v[k * size :], v, bit_width, inner, rng)
     meta = [np.append(a, t) for a, t in zip((shift, lo, hi), tail_meta)]
     return Segment(codes, tail, *meta, bit_width)
 
 
-def dequantize_segment(
-    seg: Segment, mode: str = "shift", levels: "LevelTable | None" = None
-) -> np.ndarray:
+def dequantize_segment(seg: Segment) -> np.ndarray:
     """Reconstruct every value of a segment, as `dequantize` does per block."""
-    if mode not in INNER_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "levels":
-        if levels is None:
-            raise ValueError("mode 'levels' requires a LevelTable")
-        if levels.levels.size != (1 << seg.bit_width):
-            raise ValueError("level table size does not match bit_width")
     k = seg.rows.shape[0]
     if k == 1 and not seg.tail.size:  # one bucket, as a message no longer than it
         meta = seg.scale_lo.item(), seg.scale_hi.item(), seg.shift.item()
-        return _values(seg.rows[0], *meta, seg.bit_width, mode, levels)
+        return _values(seg.rows[0], *meta, seg.bit_width)
     meta = seg.scale_lo[:k, None], seg.scale_hi[:k, None], seg.shift[:k, None]
-    out = _values(seg.rows, *meta, seg.bit_width, mode, levels).ravel()
+    out = _values(seg.rows, *meta, seg.bit_width).ravel()
     if not seg.tail.size:
         return out
     meta = seg.scale_lo[k].item(), seg.scale_hi[k].item(), seg.shift[k].item()
-    return np.concatenate((out, _values(seg.tail, *meta, seg.bit_width, mode, levels)))
+    return np.concatenate((out, _values(seg.tail, *meta, seg.bit_width)))
 
 
-def _values(codes, lo, hi, shift, bit_width, mode, levels):
+def _values(codes, lo, hi, shift, bit_width):
     """Values of `codes` in buckets spanning [lo, hi], plus `shift`.
 
     The metadata are floats for one bucket, or (buckets, 1) columns for the
     rows of a 2-D `codes`, as in `_code`.
     """
-    if mode == "levels":
-        out = np.multiply(levels.levels[codes], hi - lo)
-        out += lo
-        return out
     out = np.multiply(codes, (hi - lo) / ((1 << bit_width) - 1))
     out += lo
     # lo + code * pitch is never -0.0, so adding a zero shift is the identity
@@ -452,7 +416,6 @@ def quantize_bucket(
     bit_width: int,
     inner: str,
     rng: np.random.Generator,
-    levels: "LevelTable | None" = None,
 ) -> QuantizedBlock:
     """Min-max normalize one bucket to [0, 1] and quantize it.
 
@@ -460,7 +423,7 @@ def quantize_bucket(
     scale_lo == scale_hi and decode to the constant exactly.
     """
     values = np.asarray(values, dtype=float)
-    seg = quantize_segment(values, values.size, bit_width, inner, rng, levels)
+    seg = quantize_segment(values, values.size, bit_width, inner, rng)
     return seg.blocks()[0]
 
 
@@ -470,7 +433,6 @@ def bucketed_quantize(
     bit_width: int,
     inner: str = "shift",
     rng: np.random.Generator | None = None,
-    levels: "LevelTable | None" = None,
 ) -> list[QuantizedBlock]:
     """Split into consecutive buckets and quantize each independently.
 
@@ -481,7 +443,7 @@ def bucketed_quantize(
         raise ValueError(f"bit_width must be in [1, 16], got {bit_width}")
     if rng is None:
         rng = np.random.default_rng()
-    seg = quantize_segment(v, bucket.bucket_size, bit_width, inner, rng, levels)
+    seg = quantize_segment(v, bucket.bucket_size, bit_width, inner, rng)
     return seg.blocks()
 
 
@@ -575,26 +537,12 @@ def learn_levels(
     return LevelTable(q)
 
 
-def quantize_with_levels(
-    v,
-    table: LevelTable,
-    stochastic: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Map values to level indices, clamping outside the table's span."""
+def quantize_with_levels(v, table: LevelTable) -> np.ndarray:
+    """Indices of the nearest levels, clamping outside the table's span."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     q = table.levels
     v = np.clip(v, q[0], q[-1])
-    if not stochastic:
-        if q.size == 1:
-            return np.zeros(v.size, dtype=np.uint32)
-        mids = (q[:-1] + q[1:]) / 2
-        return np.searchsorted(mids, v, side="left").astype(np.uint32)
-    if rng is None:
-        raise ValueError("stochastic mode requires an rng")
-    low = np.clip(np.searchsorted(q, v, side="right") - 1, 0, max(q.size - 2, 0))
     if q.size == 1:
         return np.zeros(v.size, dtype=np.uint32)
-    gap = q[low + 1] - q[low]
-    frac = (v - q[low]) / gap
-    return (low + (rng.random(v.size) < frac)).astype(np.uint32)
+    mids = (q[:-1] + q[1:]) / 2
+    return np.searchsorted(mids, v, side="left").astype(np.uint32)

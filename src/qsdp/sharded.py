@@ -36,6 +36,7 @@ float64).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -231,10 +232,11 @@ def bucket_rng(
 def _send(values, bucket_size, bits, inner, rng) -> tuple[np.ndarray, int]:
     """Quantize one shard message and pass it through wire v1.
 
-    Returns what the receiver reconstructs and the message size in bytes.
+    Returns what the receiver reconstructs from the bytes alone and the
+    message size in bytes.
     """
     wire = encode_segment(quantize_segment(values, bucket_size, bits, inner, rng))
-    return dequantize_segment(decode_segment(wire), inner), len(wire)
+    return dequantize_segment(decode_segment(wire)), len(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +266,22 @@ def init_mlp_params(widths: list[int], param_seed: int) -> dict[str, np.ndarray]
     return params
 
 
+@functools.lru_cache(maxsize=1)
+def _teacher(fan_in: int, fan_out: int, data_seed: int) -> np.ndarray:
+    """The fixed linear teacher of `make_batch`; the last one drawn is kept."""
+    teacher_rng = np.random.default_rng(np.random.SeedSequence((data_seed, 1)))
+    w = teacher_rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
+    w.flags.writeable = False  # shared by every call with the same key
+    return w
+
+
 def make_batch(
     widths: list[int], batch: int, data_seed: int, step: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthetic regression batch from a fixed random linear teacher."""
-    teacher_rng = np.random.default_rng(np.random.SeedSequence((data_seed, 1)))
-    w_teacher = teacher_rng.standard_normal((widths[0], widths[-1])) / math.sqrt(
-        widths[0]
-    )
     batch_rng = np.random.default_rng(np.random.SeedSequence((data_seed, 2, step)))
     x = batch_rng.standard_normal((batch, widths[0]))
-    return x, x @ w_teacher
+    return x, x @ _teacher(widths[0], widths[-1], data_seed)
 
 
 @dataclass(frozen=True)
@@ -521,7 +528,7 @@ class ReferenceMLP:
                 "shift",
                 bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s),
             )
-            parts.append(dequantize_segment(seg, "shift"))
+            parts.append(dequantize_segment(seg))
         return np.concatenate(parts)
 
     def _averaged_gradient(self, step, layer_idx, per_worker_grads):
@@ -545,8 +552,7 @@ class ReferenceMLP:
                             self.quant.gradient_bits,
                             "uniform_stochastic",
                             rng,
-                        ),
-                        "uniform_stochastic",
+                        )
                     )
                 else:
                     vals = seg

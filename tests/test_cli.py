@@ -323,3 +323,32 @@ def test_bandwidth_sweep_checks_every_config_before_computing(tmp_path, monkeypa
     assert rc == 2
     assert steps == []
     assert not out.exists()
+
+
+EXTREME = [
+    ("converge", {"x0": [1e300, 1e300]}),
+    ("converge", {"diagonal": [1e-300, 1.0]}),
+    ("converge", {"delta_star": 1e300}),
+    ("quant-stats", {"deltas": [1e300]}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,patch", EXTREME, ids=[f"{c}-{f}" for c, p in EXTREME for f in p]
+)
+def test_extreme_config_numbers_exit_3_before_any_seed_runs(
+    tmp_path, capsys, monkeypatch, command, patch
+):
+    import qsdp.experiments
+
+    runs = []
+    monkeypatch.setattr(qsdp.experiments, "run", lambda *a, **k: runs.append(a))
+    cfg_path = _write(tmp_path, command, dict(CONFIGS[command], **patch))
+    out = tmp_path / "out.csv"
+    rc = main([command, "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("qsdp: numerical failure:")
+    assert runs == []
+    assert not out.exists()

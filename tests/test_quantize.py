@@ -137,7 +137,7 @@ class TestQflipQuantize:
         assert abs(freq_up - 0.3) <= 0.005
         # and through the public API on a smaller sample
         vals = np.array(
-            [dequantize(qflip_quantize([x], 1.0, rng), "flip")[0] for _ in range(4000)]
+            [dequantize(qflip_quantize([x], 1.0, rng))[0] for _ in range(4000)]
         )
         assert set(np.round(vals, 12)) <= {0.0, 1.0}
         assert abs(vals.mean() - x) < 0.03
@@ -146,7 +146,7 @@ class TestQflipQuantize:
         rng = np.random.default_rng(22)
         for _ in range(20):
             block = qflip_quantize([2.0], 1.0, rng)
-            assert dequantize(block, "flip")[0] == 2.0
+            assert dequantize(block)[0] == 2.0
 
     def test_variance_identity(self):
         rng = np.random.default_rng(23)
@@ -169,7 +169,7 @@ class TestQflipQuantize:
         counts = []
         for _ in range(3000):
             block = qflip_quantize(v, d, rng)
-            counts.append(np.count_nonzero(dequantize(block, "flip")))
+            counts.append(np.count_nonzero(dequantize(block)))
         counts = np.asarray(counts, dtype=float)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert counts.mean() <= bound + 3 * se
@@ -200,20 +200,6 @@ class TestDequantize:
         with pytest.raises(ValueError, match="corrupted code"):
             dequantize(block)
 
-    def test_levels_mode_requires_table(self):
-        block = QuantizedBlock(
-            codes=np.array([0, 1], dtype=np.uint32),
-            shift=0.0,
-            scale_lo=0.0,
-            scale_hi=2.0,
-            bit_width=1,
-            length=2,
-        )
-        with pytest.raises(ValueError):
-            dequantize(block, "levels")
-        table = LevelTable(np.array([0.0, 1.0]))
-        assert np.allclose(dequantize(block, "levels", table), [0.0, 2.0])
-
 
 class TestBucketedQuantize:
     def test_bucket_count_exact_split(self):
@@ -240,13 +226,13 @@ class TestBucketedQuantize:
         with pytest.raises(ValueError):
             bucketed_quantize([1.0, 2.0], BucketSpec(), 17, "shift", rng)
 
-    @pytest.mark.parametrize("inner", ["shift", "flip", "uniform_stochastic"])
+    @pytest.mark.parametrize("inner", ["shift", "uniform_stochastic"])
     def test_round_trip_error_bound(self, inner):
         # reconstruction error is at most one pitch per coordinate
         rng = np.random.default_rng(35)
         v = rng.standard_normal(2500) * 4.0
         blocks = bucketed_quantize(v, BucketSpec(), 6, inner, rng)
-        out = np.concatenate([dequantize(b, inner) for b in blocks])
+        out = np.concatenate([dequantize(b) for b in blocks])
         start = 0
         for b in blocks:
             seg = v[start : start + b.length]
@@ -263,16 +249,6 @@ class TestBucketedQuantize:
         # half-pitch plus the shift magnitude bounds the worst case
         out = np.concatenate([dequantize(b) for b in blocks])
         assert np.abs(out - v).max() <= pitch
-
-    def test_levels_inner_round_trip(self):
-        rng = np.random.default_rng(38)
-        v = rng.standard_normal(600)
-        table = LevelTable.uniform(4)
-        blocks = bucketed_quantize(v, BucketSpec(), 4, "levels", rng, levels=table)
-        out = np.concatenate([dequantize(b, "levels", table) for b in blocks])
-        max_gap = np.diff(table.levels).max()
-        span = blocks[0].scale_hi - blocks[0].scale_lo
-        assert np.abs(out - v).max() <= max_gap * span
 
     def test_bucketed_shift_unbiased(self):
         rng = np.random.default_rng(37)
@@ -403,22 +379,6 @@ class TestQuantizeWithLevels:
         t = LevelTable(np.array([0.0, 0.2, 0.7, 1.0]))
         assert quantize_with_levels(np.array([5.0]), t)[0] == 3
         assert quantize_with_levels(np.array([-1.0]), t)[0] == 0
-
-    def test_stochastic_quarter_gap(self):
-        rng = np.random.default_rng(61)
-        t = LevelTable(np.array([0.0, 0.4]))
-        v = np.full(10**6, 0.1)  # quarter of the gap from the lower level
-        codes = quantize_with_levels(v, t, stochastic=True, rng=rng)
-        assert abs((codes == 0).mean() - 0.75) <= 0.005
-
-    def test_stochastic_unbiased(self):
-        rng = np.random.default_rng(62)
-        t = LevelTable(np.array([0.0, 0.25, 0.5, 1.0]))
-        v = np.full(200000, 0.6)
-        codes = quantize_with_levels(v, t, stochastic=True, rng=rng)
-        vals = t.levels[codes]
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - 0.6) <= 4 * se
 
 
 def test_fractional_product_inequality():

@@ -54,7 +54,7 @@ def _block_path_quantizer(g, bucket, bit_width, rng):
     """The quantizer as it ran on the block list: bucketed_quantize, a
     dequantize per block and message_size_bits."""
     blocks = bucketed_quantize(g, bucket, bit_width, inner="uniform_stochastic", rng=rng)
-    ghat = np.concatenate([dequantize(b, "uniform_stochastic") for b in blocks])
+    ghat = np.concatenate([dequantize(b) for b in blocks])
     return ghat, message_size_bits(blocks)
 
 

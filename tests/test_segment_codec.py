@@ -109,12 +109,12 @@ def test_segment_codec_matches_per_bucket_oracle(message):
     seg = quantize_segment(v, bucket, bits, inner, np.random.default_rng(seed))
     data = encode_segment(seg)
     assert data == want_bytes
-    assert _same_bits(dequantize_segment(decode_segment(data), inner), want_values)
+    assert _same_bits(dequantize_segment(decode_segment(data)), want_values)
     # the public block-list edge is the same codec
     rng = np.random.default_rng(seed)
     blocks = bucketed_quantize(v, BucketSpec(bucket), bits, inner, rng)
     assert encode(blocks) == want_bytes
-    got = np.concatenate([dequantize(b, inner) for b in decode(want_bytes)])
+    got = np.concatenate([dequantize(b) for b in decode(want_bytes)])
     assert _same_bits(got, want_values)
 
 
@@ -125,6 +125,22 @@ def test_quantize_bucket_is_a_one_bucket_segment(message):
     block = quantize_bucket(v, bits, inner, np.random.default_rng(seed))
     codes, shift, lo, hi = _oracle_bucket(v, bits, inner, np.random.default_rng(seed))
     assert block == QuantizedBlock(codes, shift, lo, hi, bits, v.size)
+
+
+def test_codec_has_two_inner_modes_and_decodes_from_the_bytes_alone():
+    v = np.random.default_rng(3).standard_normal(2500)
+    rng = np.random.default_rng(0)
+    for inner in ("levels", "flip"):
+        with pytest.raises(ValueError, match="unknown inner mode"):
+            quantize_segment(v, 1024, 2, inner, rng)
+        with pytest.raises(ValueError, match="unknown inner mode"):
+            bucketed_quantize(v, BucketSpec(), 2, inner, rng)
+        with pytest.raises(ValueError, match="unknown inner mode"):
+            quantize_bucket(v, 2, inner, rng)
+    for inner in INNERS:
+        seg = quantize_segment(v, 1024, 2, inner, rng)
+        received = dequantize_segment(decode_segment(encode_segment(seg)))
+        assert _same_bits(received, dequantize_segment(seg))
 
 
 # -- decoding malformed bytes ---------------------------------------------------
@@ -246,7 +262,7 @@ def test_largest_float32_values_still_quantize(big):
     v = np.array([-big, 0.0, big])
     for inner in INNERS:
         seg = quantize_segment(v, 3, 8, inner, np.random.default_rng(0))
-        out = dequantize_segment(decode_segment(encode_segment(seg)), inner)
+        out = dequantize_segment(decode_segment(encode_segment(seg)))
         assert np.all(np.isfinite(out))
         assert np.all(np.abs(out - v) <= 2 * big / 255)  # within about one pitch
 
