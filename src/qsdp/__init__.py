@@ -40,7 +40,6 @@ from .sharded import (
     ReferenceMLP,
     ShardedMLP,
     SimConfig,
-    shard_parameters,
     simulate_step_time,
 )
 

@@ -36,6 +36,11 @@ class ConfigError(ValueError):
     pass
 
 
+# Longest converge horizon that runs: about 7 h per seed at the ~27 us per
+# step measured for the criterion-6 problem on one CPU core.
+MAX_ITERATIONS = 10**9
+
+
 _MISSING = object()
 
 
@@ -122,39 +127,43 @@ def cmd_quant_stats(cfg: dict):
 
     header = ["kind", "delta", "x", "n", "estimate", "target", "tolerance", "passed"]
     rows = []
-    for di, delta in enumerate(deltas):
-        rng = np.random.default_rng((seed, di))
-        ints = rng.integers(-3, 4, num_scalars)
-        fracs = rng.uniform(0.1, 0.9, num_scalars)
-        for x in delta * (ints + fracs):
-            rs = rng.uniform(-delta / 2, delta / 2, samples)
-            lattice = delta * np.round((x - rs) / delta)
-            mean = float((lattice + rs).mean())
-            mean_tol = 4 * delta / (2 * math.sqrt(samples))
-            rows.append(
-                ["mean", delta, x, samples, mean, x, mean_tol,
-                 abs(mean - x) <= mean_tol]
-            )
-            z = (x / delta) - math.floor(x / delta)
-            true_var = delta**2 * z * (1 - z)
-            est_var = float(((lattice - x) ** 2).mean())
-            rel = abs(est_var - true_var) / true_var
-            rows.append(
-                ["variance", delta, x, samples, est_var, true_var, 0.01, rel <= 0.01]
-            )
-        for _ in range(sparsity_vectors):
-            v = rng.uniform(-delta, delta, sparsity_dim) * 0.95
-            bound = float(np.abs(v).sum() / delta)
-            n_r = 4000
-            rs = rng.uniform(-delta / 2, delta / 2, n_r)
-            counts = np.count_nonzero(
-                np.round((v[None, :] - rs[:, None]) / delta), axis=1
-            )
-            est = float(counts.mean())
-            tol = 3 * float(counts.std(ddof=1) / math.sqrt(n_r))
-            rows.append(
-                ["sparsity", delta, bound, n_r, est, bound, tol, est <= bound + tol]
-            )
+    try:  # a delta too large for float64 squares or sums to inf
+        with np.errstate(over="raise", invalid="raise"):
+            for di, delta in enumerate(deltas):
+                rng = np.random.default_rng((seed, di))
+                ints = rng.integers(-3, 4, num_scalars)
+                fracs = rng.uniform(0.1, 0.9, num_scalars)
+                for x in delta * (ints + fracs):
+                    rs = rng.uniform(-delta / 2, delta / 2, samples)
+                    lattice = delta * np.round((x - rs) / delta)
+                    mean = float((lattice + rs).mean())
+                    mean_tol = 4 * delta / (2 * math.sqrt(samples))
+                    rows.append(
+                        ["mean", delta, x, samples, mean, x, mean_tol,
+                         abs(mean - x) <= mean_tol]
+                    )
+                    z = (x / delta) - math.floor(x / delta)
+                    true_var = delta**2 * z * (1 - z)
+                    est_var = float(((lattice - x) ** 2).mean())
+                    rel = abs(est_var - true_var) / true_var
+                    rows.append(
+                        ["variance", delta, x, samples, est_var, true_var, 0.01, rel <= 0.01]
+                    )
+                for _ in range(sparsity_vectors):
+                    v = rng.uniform(-delta, delta, sparsity_dim) * 0.95
+                    bound = float(np.abs(v).sum() / delta)
+                    n_r = 4000
+                    rs = rng.uniform(-delta / 2, delta / 2, n_r)
+                    counts = np.count_nonzero(
+                        np.round((v[None, :] - rs[:, None]) / delta), axis=1
+                    )
+                    est = float(counts.mean())
+                    tol = 3 * float(counts.std(ddof=1) / math.sqrt(n_r))
+                    rows.append(
+                        ["sparsity", delta, bound, n_r, est, bound, tol, est <= bound + tol]
+                    )
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"deltas: {delta!r} is out of range: {exc}") from exc
     return header, rows
 
 
@@ -193,14 +202,17 @@ def cmd_converge(cfg: dict):
         raise ConfigError("seeds: must be non-empty")
 
     problem = quadratic_problem(np.diag(diagonal), np.asarray(linear, float), sigma)
-    bench = benchmark_expectation(
-        problem, delta_star, bench_samples, np.random.default_rng(bench_seed)
-    )
     x0 = np.asarray(x0, dtype=float)
-    gap0 = problem.objective(x0) - bench.mean
-    if not all(map(math.isfinite, (bench.mean, bench.standard_error, gap0))):
-        raise RuntimeError(f"benchmark {bench.mean!r} (se {bench.standard_error!r}) "
-                           f"or initial gap {gap0!r} is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        bench = benchmark_expectation(
+            problem, delta_star, bench_samples, np.random.default_rng(bench_seed)
+        )
+        gap0 = problem.objective(x0) - bench.mean
+    if not (math.isfinite(bench.mean) and math.isfinite(bench.standard_error)):
+        raise RuntimeError(f"delta_star {delta_star!r}: benchmark {bench.mean!r} "
+                           f"(se {bench.standard_error!r}) is not finite")
+    if not math.isfinite(gap0):
+        raise RuntimeError(f"x0: initial gap {gap0!r} is not finite")
 
     quantizer = None
     grad_var = 0.0
@@ -212,10 +224,19 @@ def cmd_converge(cfg: dict):
         )
         grad_var = budget.sigma_nabla_sq
         quantizer = UniformStochasticGradientQuantizer(gradient_bits)
-    plan = make_plan(
-        problem, epsilon, delta_star, gap0,
-        gradient_variance=grad_var, gradient_bit_width=gradient_bits,
-    )
+    try:
+        plan = make_plan(
+            problem, epsilon, delta_star, gap0,
+            gradient_variance=grad_var, gradient_bit_width=gradient_bits,
+        )
+    except (ArithmeticError, ValueError) as exc:  # valid fields, out of float range
+        raise ArithmeticError(
+            f"diagonal (condition number {max(diagonal) / min(diagonal):.3g}) and "
+            f"epsilon {epsilon!r} give no finite plan: {exc}"
+        ) from exc
+    if plan.iteration_count > MAX_ITERATIONS:
+        raise RuntimeError(f"epsilon {epsilon!r} needs T={plan.iteration_count:.3g} "
+                           f"iterations per seed, more than {MAX_ITERATIONS:.0e}")
 
     result = run(
         problem, plan, x0, seeds,
@@ -305,21 +326,24 @@ def cmd_train_sim(cfg: dict):
     header = ["seed", "step", "loss", "allgather_bits", "reducescatter_bits", "step_time_s"]
     rows = []
     for seed in seeds:
-        sim = ShardedMLP(
-            SimConfig(
-                widths=tuple(layers), P=P, batch=batch, lr=lr, quant=quant,
-                root_seed=seed, param_seed=seed, data_seed=seed,
-                fixed_batch=fixed_batch,
-            ),
-            network=network,
-        )
+        sim = _sim(layers, P, batch, lr, quant, seed, fixed_batch)
         for t in range(steps):
             loss, entry = sim.train_step(t)
             rows.append(
                 [seed, t, loss, entry.allgather_bits, entry.reducescatter_bits,
-                 entry.step_time_s]
+                 simulate_step_time(entry, network)]
             )
     return header, rows
+
+
+def _sim(layers, P, batch, lr, quant, seed, fixed_batch=False) -> ShardedMLP:
+    """The simulated model of one seed; seeds the parameters, data and draws."""
+    return ShardedMLP(
+        SimConfig(
+            widths=tuple(layers), P=P, batch=batch, lr=lr, quant=quant,
+            root_seed=seed, param_seed=seed, data_seed=seed, fixed_batch=fixed_batch,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +352,7 @@ def cmd_train_sim(cfg: dict):
 
 
 def _one_step_entry(layers, P, batch, lr, quant, seed):
-    sim = ShardedMLP(
-        SimConfig(
-            widths=tuple(layers), P=P, batch=batch, lr=lr, quant=quant,
-            root_seed=seed, param_seed=seed, data_seed=seed,
-        )
-    )
-    _, entry = sim.train_step(0)
-    return entry
+    return _sim(layers, P, batch, lr, quant, seed).train_step(0)[1]
 
 
 def cmd_bandwidth_sweep(cfg: dict):
@@ -376,10 +393,8 @@ def cmd_bandwidth_sweep(cfg: dict):
     w_ratios = _take(cfg, used, "weight_ratios", list, check=_positive_list)
     g_ratios = _take(cfg, used, "gradient_ratios", list, check=_positive_list)
     _finish(cfg, used)
-    base = _one_step_entry(
-        layers, P, batch, lr,
-        QuantConfig(quantize_weights=False, quantize_gradients=False), seed,
-    )
+    fp32 = QuantConfig(quantize_weights=False, quantize_gradients=False)
+    base = _one_step_entry(layers, P, batch, lr, fp32, seed)
     header = ["label", "bandwidth_bps", "weight_ratio", "gradient_ratio",
               "total_bits", "step_time_s"]
     rows = []

@@ -210,7 +210,7 @@ def dequantize(block: QuantizedBlock) -> np.ndarray:
         raise ValueError(
             f"corrupted code >= 2**{block.bit_width} cannot be decoded"
         )
-    return block.scale_lo + codes * block.pitch + block.shift
+    return _values(codes, block.scale_lo, block.scale_hi, block.shift, block.bit_width)
 
 
 class Segment(NamedTuple):

@@ -1,35 +1,38 @@
 """Deterministic multi-worker simulation of sharded training with quantized
 collectives.
 
-Every worker permanently owns a contiguous 1/P slice of each layer.  A step
-runs a forward pass (quantize own shard, all-gather, compute, discard), a
-backward pass (gather again, compute gradients), and one reduce-scatter per
-layer that leaves each worker with the average of all workers' dequantized
-gradient contributions restricted to its shard.  Dense layers are quantized;
-bias and normalization layers always travel at full precision.
+Each layer is one flat float64 array, and worker q permanently owns the
+contiguous slice `params[name][s:e]` given by `shard_bounds`; a shard is a view
+of the layer, never a copy.  A step runs a forward pass (quantize own shard,
+all-gather, compute, discard), a backward pass (gather again, compute
+gradients), and one reduce-scatter per layer that leaves each worker with the
+average of all workers' dequantized gradient contributions restricted to its
+shard.  Dense layers are quantized; bias and normalization layers always
+travel at full precision.
 
-Each shard message is quantized, encoded, decoded and dequantized as one
-segment of whole arrays.  Its randomness comes from one generator keyed by
-(root seed, step, layer, phase, source worker, shard start), and its buckets
-draw from it in order, so any worker count replays exactly the same
+Each quantized shard message is quantized, encoded, decoded and dequantized
+as one segment of whole arrays.  Its randomness comes from one generator keyed
+by (root seed, step, layer, phase, source worker, shard start), and its
+buckets draw from it in order, so any worker count replays exactly the same
 quantization draws as the single-process reference implementation, and the
 two must agree bit for bit.
 
-Once warm, a step allocates no array the size of a layer.  A gather writes
-every shard's received values into a scratch buffer and returns it.  The
-reduce-scatter runs worker by worker: one worker's full-layer gradient is
-computed into scratch, its shard messages are sent, and what each owner
-reconstructs is added into a zeroed sum buffer; then the sums are divided by
-P, scaled by the learning rate and subtracted from the shards in place.  Each
-shard still sums 0 + v_0 + ... + v_{P-1} in worker order, so the values match
-the reference.  Scratch belongs to the model instance, one buffer per (role,
-layer kind) grown to the largest layer seen, so separate models (one per
-thread, say) never share it.  The order of `LedgerEntry.transfers` is not part
-of the contract; only the totals over it are.
+Once warm, a step allocates no array the size of a layer.  A full-precision
+gather receives every shard unchanged, so it returns the layer array itself; a
+quantized gather writes what the peers reconstruct into a scratch buffer and
+returns that.  The reduce-scatter runs worker by worker: one worker's
+full-layer gradient is computed into scratch, its shard messages are sent, and
+what each owner reconstructs is added into a zeroed sum buffer; then the sum
+is divided by P, scaled by the learning rate and subtracted from the layer in
+place.  Each shard still sums 0 + v_0 + ... + v_{P-1} in worker order, so the
+values match the reference.  Scratch belongs to the model instance, one buffer
+per (role, layer kind) grown to the largest layer seen, so separate models
+(one per thread, say) never share it.  The order of `LedgerEntry.transfers` is
+not part of the contract; only the totals over it are.
 
 Communication accounting is peer-to-peer: a shard's encoded message crossing
-to P-1 other workers is counted P-1 times, and transfers that stay on a
-worker cost nothing.  Full-precision transfers carry no framing and are
+to P-1 other workers is counted P-1 times, and a message that stays on its
+worker records no transfer.  Full-precision transfers carry no framing and are
 charged at 32 bits per element (by ledger convention; the math stays
 float64).
 """
@@ -57,9 +60,7 @@ __all__ = [
     "NetworkModel",
     "Transfer",
     "LedgerEntry",
-    "ShardedModel",
     "shard_bounds",
-    "shard_parameters",
     "simulate_step_time",
     "bucket_rng",
     "mlp_layer_specs",
@@ -149,7 +150,6 @@ class LedgerEntry:
     allgather_events: int = 0
     reducescatter_events: int = 0
     transfers: list[Transfer] = field(default_factory=list)
-    step_time_s: float = 0.0
 
     @property
     def total_bits(self) -> int:
@@ -184,38 +184,6 @@ def shard_bounds(size: int, P: int) -> list[tuple[int, int]]:
     bounds = [(p * base, (p + 1) * base) for p in range(P - 1)]
     bounds.append(((P - 1) * base, size))
     return bounds
-
-
-@dataclass
-class ShardedModel:
-    layers: list[LayerSpec]
-    P: int
-    bounds: dict[str, list[tuple[int, int]]]
-    shards: dict[str, list[np.ndarray]]
-
-    def full(self, name: str) -> np.ndarray:
-        return np.concatenate(self.shards[name])
-
-
-def shard_parameters(
-    params: dict[str, np.ndarray], layers: list[LayerSpec], P: int
-) -> ShardedModel:
-    """Assign each worker its contiguous slice of every layer."""
-    bounds, shards = {}, {}
-    for layer in layers:
-        flat = np.asarray(params[layer.name], dtype=float).ravel()
-        if flat.size != layer.size:
-            raise ValueError(f"layer {layer.name}: expected {layer.size} parameters")
-        if P > flat.size:
-            warnings.warn(
-                f"layer {layer.name}: P={P} exceeds size {flat.size}; "
-                "kept whole on one worker",
-                RuntimeWarning,
-            )
-        b = shard_bounds(flat.size, P)
-        bounds[layer.name] = b
-        shards[layer.name] = [flat[s:e].copy() for s, e in b]
-    return ShardedModel(layers=list(layers), P=P, bounds=bounds, shards=shards)
 
 
 def bucket_rng(
@@ -304,13 +272,20 @@ class SimConfig:
 class ShardedMLP:
     """The P-worker protocol simulation with exact transport accounting."""
 
-    def __init__(self, config: SimConfig, network: NetworkModel | None = None):
+    def __init__(self, config: SimConfig):
         self.cfg = config
         self.quant = config.quant
         self.layers = mlp_layer_specs(list(config.widths))
-        params = init_mlp_params(list(config.widths), config.param_seed)
-        self.model = shard_parameters(params, self.layers, config.P)
-        self.network = network
+        self.params = init_mlp_params(list(config.widths), config.param_seed)
+        self.bounds: dict[str, list[tuple[int, int]]] = {}
+        for layer in self.layers:
+            if config.P > layer.size:
+                warnings.warn(
+                    f"layer {layer.name}: P={config.P} exceeds size {layer.size}; "
+                    "kept whole on one worker",
+                    RuntimeWarning,
+                )
+            self.bounds[layer.name] = shard_bounds(layer.size, config.P)
         self.ledger: list[LedgerEntry] = []
         self._pairs = len(config.widths) - 1
         self._scratch: dict[tuple[str, str], np.ndarray] = {}
@@ -330,78 +305,60 @@ class ShardedMLP:
 
     # -- transport -----------------------------------------------------
 
-    def _gather(self, step: int, layer_idx: int, phase: int, entry: LedgerEntry):
-        """All-gather one layer into scratch; returns the assembled tensor."""
+    def _bits(self, layer: LayerSpec, phase: int) -> int:
+        """Quantizer bit width of `layer`'s messages in `phase`; 0 if none."""
+        q = self.quant
+        if layer.kind != "dense":
+            return 0
+        if phase == PHASE_GRAD:
+            return q.gradient_bits if q.quantize_gradients else 0
+        return q.weight_bits if q.quantize_weights else 0
+
+    def _message(self, step, layer_idx, phase, worker, start, values, copies, entry):
+        """Send one shard message from `worker` to `copies` other workers.
+
+        Returns what a receiver reconstructs; records a transfer if copies > 0.
+        """
         layer = self.layers[layer_idx]
-        P = self.cfg.P
-        quantized = layer.kind == "dense" and self.quant.quantize_weights
-        full = self._buffer("gather", layer)
-        for q, (s, e) in enumerate(self.model.bounds[layer.name]):
-            seg = self.model.shards[layer.name][q]
-            if seg.size == 0:
-                continue
-            if quantized:
-                received, nbytes = _send(  # what every peer reconstructs
-                    seg,
-                    self.quant.bucket_size,
-                    self.quant.weight_bits,
-                    "shift",
-                    bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s),
-                )
-                full[s:e] = received
-                width = self.quant.weight_bits
-            else:
-                full[s:e] = seg
-                width = 32
-                nbytes = seg.size * width // 8
-            entry.record(
-                Transfer(
-                    collective="allgather",
-                    layer=layer.name,
-                    bit_width=width,
-                    nbytes=nbytes,
-                    copies=P - 1,
-                    payload_bits=seg.size * width,
-                )
+        bits = self._bits(layer, phase)
+        if bits:
+            received, nbytes = _send(
+                values,
+                self.quant.bucket_size,
+                bits,
+                "uniform_stochastic" if phase == PHASE_GRAD else "shift",
+                bucket_rng(self.cfg.root_seed, step, layer_idx, phase, worker, start),
             )
+        else:
+            received, bits, nbytes = values, 32, values.size * 4
+        if copies:
+            collective = "reducescatter" if phase == PHASE_GRAD else "allgather"
+            entry.record(
+                Transfer(collective, layer.name, bits, nbytes, copies, values.size * bits)
+            )
+        return received
+
+    def _gather(self, step: int, layer_idx: int, phase: int, entry: LedgerEntry):
+        """All-gather one layer into scratch, or at full precision return the
+        layer array itself (read-only for the caller)."""
+        layer = self.layers[layer_idx]
+        flat = self.params[layer.name]
+        full = self._buffer("gather", layer) if self._bits(layer, phase) else flat
+        for s, e in self.bounds[layer.name]:
+            if e > s:  # every peer receives the same; unquantized, the shard itself
+                full[s:e] = self._message(
+                    step, layer_idx, phase, 0, s, flat[s:e], self.cfg.P - 1, entry
+                )
         entry.allgather_events += 1
         return full
 
     def _reduce_scatter(self, step, layer_idx, p, grad, total, entry):
-        """Send worker p's gradient shards to their owners.
-
-        Adds what each owner reconstructs into its slice of `total`.
-        """
-        layer = self.layers[layer_idx]
-        quantized = layer.kind == "dense" and self.quant.quantize_gradients
-        for q, (s, e) in enumerate(self.model.bounds[layer.name]):
-            if e == s:
-                continue
-            seg = grad[s:e]
-            if quantized:
-                vals, nbytes = _send(
-                    seg,
-                    self.quant.bucket_size,
-                    self.quant.gradient_bits,
-                    "uniform_stochastic",
-                    bucket_rng(self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, s),
-                )
-                width = self.quant.gradient_bits
-            else:
-                vals = seg
-                width = 32
-                nbytes = seg.size * width // 8
-            total[s:e] += vals
-            if p != q:
-                entry.record(
-                    Transfer(
-                        collective="reducescatter",
-                        layer=layer.name,
-                        bit_width=width,
-                        nbytes=nbytes,
-                        copies=1,
-                        payload_bits=seg.size * width,
-                    )
+        """Send worker p's gradient shards to their owners, adding what each
+        owner reconstructs into its slice of `total`."""
+        for q, (s, e) in enumerate(self.bounds[self.layers[layer_idx].name]):
+            if e > s:
+                total[s:e] += self._message(
+                    step, layer_idx, PHASE_GRAD, p, s, grad[s:e], int(p != q), entry
                 )
 
     # -- per-layer building blocks --------------------------------------
@@ -416,7 +373,7 @@ class ShardedMLP:
         return [z if last else np.tanh(z) for z in zs]
 
     def backward_layer(self, step, pair_idx, inputs, outputs, dzs, entry):
-        """Re-gather the pair, sync gradients, update shards.
+        """Re-gather the pair, sync gradients, update the layers.
 
         The reduce-scatter runs worker by worker: each worker's full-layer
         gradient is computed into one scratch buffer, sent, and summed into
@@ -448,9 +405,7 @@ class ShardedMLP:
         for layer, total in ((dense, w_total), (bias, b_total)):
             total /= P
             total *= lr
-            for shard, (s, e) in zip(self.model.shards[layer.name],
-                                     self.model.bounds[layer.name]):
-                shard -= total[s:e]
+            self.params[layer.name] -= total
         return dz_prev
 
     # -- one full step ---------------------------------------------------
@@ -482,8 +437,6 @@ class ShardedMLP:
             if i and dzs is None:
                 raise RuntimeError("missing upstream gradient")
 
-        if self.network is not None:
-            entry.step_time_s = simulate_step_time(entry, self.network)
         self.ledger.append(entry)
         return loss, entry
 
@@ -491,7 +444,8 @@ class ShardedMLP:
         return [self.train_step(t)[0] for t in range(steps)]
 
     def full_params(self) -> dict[str, np.ndarray]:
-        return {layer.name: self.model.full(layer.name) for layer in self.layers}
+        """A copy of every layer; later steps leave it unchanged."""
+        return {name: flat.copy() for name, flat in self.params.items()}
 
 
 class ReferenceMLP:

@@ -325,19 +325,21 @@ def test_bandwidth_sweep_checks_every_config_before_computing(tmp_path, monkeypa
     assert not out.exists()
 
 
-EXTREME = [
-    ("converge", {"x0": [1e300, 1e300]}),
-    ("converge", {"diagonal": [1e-300, 1.0]}),
-    ("converge", {"delta_star": 1e300}),
-    ("quant-stats", {"deltas": [1e300]}),
-]
+# id: (command, patch, the field the one stderr line must name)
+EXTREME = {
+    "converge-x0": ("converge", {"x0": [1e300, 1e300]}, "x0"),
+    "converge-diagonal": ("converge", {"diagonal": [1e-300, 1.0]}, "diagonal"),
+    "converge-delta_star": ("converge", {"delta_star": 1e300}, "delta_star"),
+    "converge-epsilon": ("converge", {"epsilon": 1e-300}, "epsilon"),  # T ~ 1e302
+    "converge-epsilon-subnormal": ("converge", {"epsilon": 1e-320}, "epsilon"),
+    "quant-stats-deltas": ("quant-stats", {"deltas": [1e300]}, "deltas"),
+    "quant-stats-deltas-sum": ("quant-stats", {"deltas": [1e306]}, "deltas"),
+}
 
 
-@pytest.mark.parametrize(
-    "command,patch", EXTREME, ids=[f"{c}-{f}" for c, p in EXTREME for f in p]
-)
+@pytest.mark.parametrize("command,patch,field", EXTREME.values(), ids=EXTREME.keys())
 def test_extreme_config_numbers_exit_3_before_any_seed_runs(
-    tmp_path, capsys, monkeypatch, command, patch
+    tmp_path, capsys, monkeypatch, command, patch, field
 ):
     import qsdp.experiments
 
@@ -350,5 +352,6 @@ def test_extreme_config_numbers_exit_3_before_any_seed_runs(
     assert rc == 3
     assert len(err.splitlines()) == 1
     assert err.startswith("qsdp: numerical failure:")
+    assert field in err
     assert runs == []
     assert not out.exists()

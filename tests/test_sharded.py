@@ -21,19 +21,17 @@ from qsdp.sharded import (
     make_batch,
     mlp_layer_specs,
     shard_bounds,
-    shard_parameters,
     simulate_step_time,
 )
 
 WIDTHS = (64, 64, 10)
 
 
-def _sim(P, quant=None, seed=0, network=None, widths=WIDTHS, batch=32, lr=0.05):
+def _sim(P, quant=None, seed=0, widths=WIDTHS, batch=32, lr=0.05):
     quant = quant or QuantConfig()
     return ShardedMLP(
         SimConfig(widths=widths, P=P, batch=batch, lr=lr, quant=quant,
-                  root_seed=seed, param_seed=seed, data_seed=seed),
-        network=network,
+                  root_seed=seed, param_seed=seed, data_seed=seed)
     )
 
 
@@ -67,12 +65,15 @@ class TestSharding:
                 assert e0 == s1
 
     def test_oversharded_layer_warns(self):
-        layers = [LayerSpec("tiny", "bias", (3,))]
-        with pytest.warns(RuntimeWarning, match="kept whole"):
-            model = shard_parameters({"tiny": np.arange(3.0)}, layers, 8)
-        sizes = [s.size for s in model.shards["tiny"]]
-        assert sizes == [0] * 7 + [3]
-        assert np.array_equal(model.full("tiny"), np.arange(3.0))
+        with pytest.warns(RuntimeWarning, match="kept whole") as caught:
+            sim = _sim(P=8, widths=(2, 3), batch=8)
+        assert [str(w.message) for w in caught] == [
+            f"layer {name}: P=8 exceeds size {size}; kept whole on one worker"
+            for name, size in (("dense0", 6), ("bias0", 3))
+        ]
+        assert [e - s for s, e in sim.bounds["bias0"]] == [0] * 7 + [3]
+        for name, init in init_mlp_params([2, 3], 0).items():
+            assert np.array_equal(sim.full_params()[name], init)
 
 
 class TestGatherSemantics:
@@ -92,18 +93,41 @@ class TestGatherSemantics:
         entry = LedgerEntry(step=0)
         bias_idx = next(i for i, l in enumerate(sim.layers) if l.kind == "bias")
         gathered = sim._gather(0, bias_idx, PHASE_W_FWD, entry)
-        assert np.array_equal(gathered, sim.model.full(sim.layers[bias_idx].name))
+        assert np.array_equal(gathered, sim.full_params()[sim.layers[bias_idx].name])
+        assert len(entry.transfers) == 4
         assert all(t.bit_width == 32 for t in entry.transfers)
 
     def test_norm_layer_exempt(self):
-        layers = [LayerSpec("n0", "norm", (40,))]
         sim = _sim(P=2)
-        sim.layers = layers
-        sim.model = shard_parameters({"n0": np.linspace(0, 1, 40)}, layers, 2)
+        sim.layers = [LayerSpec("n0", "norm", (40,))]
+        sim.params = {"n0": np.linspace(0, 1, 40)}
+        sim.bounds = {"n0": shard_bounds(40, 2)}
         entry = LedgerEntry(step=0)
         gathered = sim._gather(0, 0, PHASE_W_FWD, entry)
         assert np.array_equal(gathered, np.linspace(0, 1, 40))
+        assert len(entry.transfers) == 2
         assert all(t.bit_width == 32 for t in entry.transfers)
+
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("quantized", [True, False])
+    def test_uneven_shards_record_only_crossing_transfers(self, P, quantized):
+        # 70, 7, 21 and 3 parameters: P=3 leaves the last shard of two layers longer
+        widths = (10, 7, 3)
+        quant = QuantConfig(quantize_weights=quantized, quantize_gradients=quantized)
+        sim = _sim(P=P, quant=quant, widths=widths, batch=6)
+        ref = _ref(P=P, quant=quant, widths=widths, batch=6)
+        assert [e - s for s, e in sim.bounds["dense0"]] == ([70] if P == 1 else [23, 23, 24])
+        for t in range(3):
+            loss, entry = sim.train_step(t)
+            assert loss == ref.train_step(t)
+            assert all(tr.copies > 0 for tr in entry.transfers)
+            assert (P == 1) == (entry.transfers == [])
+            for coll, bits in (("allgather", entry.allgather_bits),
+                               ("reducescatter", entry.reducescatter_bits)):
+                assert bits == sum(tr.total_bits for tr in entry.transfers
+                                   if tr.collective == coll)
+        for name, full in sim.full_params().items():
+            assert full.tobytes() == ref.params[name].tobytes()
 
     def test_single_worker_has_no_traffic(self):
         sim = _sim(P=1)
