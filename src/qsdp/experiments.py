@@ -198,8 +198,6 @@ def cmd_converge(cfg: dict):
         raise ConfigError(f"budget_draws: must be >= 2, got {budget_draws}")
     if sigma < 0:
         raise ConfigError("sigma: must be >= 0")
-    if not seeds:
-        raise ConfigError("seeds: must be non-empty")
 
     problem = quadratic_problem(np.diag(diagonal), np.asarray(linear, float), sigma)
     x0 = np.asarray(x0, dtype=float)
@@ -325,14 +323,27 @@ def cmd_train_sim(cfg: dict):
     quant = _quant_from_bits(bit_widths, bucket_size, "bit_widths")
     header = ["seed", "step", "loss", "allgather_bits", "reducescatter_bits", "step_time_s"]
     rows = []
-    for seed in seeds:
-        sim = _sim(layers, P, batch, lr, quant, seed, fixed_batch)
-        for t in range(steps):
-            loss, entry = sim.train_step(t)
-            rows.append(
-                [seed, t, loss, entry.allgather_bits, entry.reducescatter_bits,
-                 simulate_step_time(entry, network)]
-            )
+    # An lr too large diverges: numpy's overflow warnings give way to one
+    # error naming lr, raised at the first non-finite loss or at the first
+    # weight or gradient the quantizer refuses as beyond the float32 range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in seeds:
+            sim = _sim(layers, P, batch, lr, quant, seed, fixed_batch)
+            for t in range(steps):
+                try:
+                    loss, entry = sim.train_step(t)
+                except ValueError as exc:
+                    raise ArithmeticError(
+                        f"lr {lr!r} diverged at seed {seed}, step {t}: {exc}"
+                    ) from exc
+                if not math.isfinite(loss):
+                    raise ArithmeticError(
+                        f"lr {lr!r} diverged at seed {seed}, step {t}: loss {loss!r}"
+                    )
+                rows.append(
+                    [seed, t, loss, entry.allgather_bits, entry.reducescatter_bits,
+                     simulate_step_time(entry, network)]
+                )
     return header, rows
 
 
@@ -349,10 +360,6 @@ def _sim(layers, P, batch, lr, quant, seed, fixed_batch=False) -> ShardedMLP:
 # ---------------------------------------------------------------------------
 # bandwidth-sweep
 # ---------------------------------------------------------------------------
-
-
-def _one_step_entry(layers, P, batch, lr, quant, seed):
-    return _sim(layers, P, batch, lr, quant, seed).train_step(0)[1]
 
 
 def cmd_bandwidth_sweep(cfg: dict):
@@ -380,7 +387,7 @@ def cmd_bandwidth_sweep(cfg: dict):
                   "reducescatter_bits", "step_time_s"]
         rows = []
         for label, quant in labelled:
-            entry = _one_step_entry(layers, P, batch, lr, quant, seed)
+            entry = _sim(layers, P, batch, lr, quant, seed).train_step(0)[1]
             for net in nets:
                 rows.append(
                     [label, net.bandwidth_bps, entry.total_bits, entry.allgather_bits,
@@ -394,7 +401,7 @@ def cmd_bandwidth_sweep(cfg: dict):
     g_ratios = _take(cfg, used, "gradient_ratios", list, check=_positive_list)
     _finish(cfg, used)
     fp32 = QuantConfig(quantize_weights=False, quantize_gradients=False)
-    base = _one_step_entry(layers, P, batch, lr, fp32, seed)
+    base = _sim(layers, P, batch, lr, fp32, seed).train_step(0)[1]
     header = ["label", "bandwidth_bps", "weight_ratio", "gradient_ratio",
               "total_bits", "step_time_s"]
     rows = []
@@ -476,9 +483,15 @@ def cmd_learn_levels(cfg: dict):
         values = rng.standard_normal(num_values)
     else:
         values = rng.uniform(0.0, 1.0, num_values)
-    uniform_err, learned_err, _ = learned_vs_uniform_error(
-        values, bit_width, bucket_size, passes, learning_rate
-    )
+    try:  # a learning_rate too large overflows the level updates
+        with np.errstate(over="raise", invalid="raise"):
+            uniform_err, learned_err, _ = learned_vs_uniform_error(
+                values, bit_width, bucket_size, passes, learning_rate
+            )
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"learning_rate {learning_rate!r} is out of range: {exc}"
+        ) from exc
     header = ["distribution", "bit_width", "num_values", "uniform_rel_err",
               "learned_rel_err", "improvement"]
     rows = [[distribution, bit_width, num_values, uniform_err, learned_err,

@@ -110,7 +110,6 @@ def brute_force_lattice_min(
 class BenchmarkEstimate:
     mean: float
     standard_error: float
-    num_samples: int
 
 
 def benchmark_expectation(
@@ -118,7 +117,6 @@ def benchmark_expectation(
     delta_star: float,
     num_r_samples: int,
     rng: np.random.Generator,
-    mode: str = "auto",
 ) -> BenchmarkEstimate:
     """Monte-Carlo estimate of E_r[min over the shifted coarse lattice of f].
 
@@ -128,16 +126,15 @@ def benchmark_expectation(
     if num_r_samples < 1:
         raise ValueError("need at least one shift sample")
     rs = rng.uniform(-delta_star / 2, delta_star / 2, num_r_samples)
-    if mode == "auto":
-        mode = "separable" if problem.is_diagonal_quadratic() else "exhaustive"
-    if mode == "separable":
+    if problem.is_diagonal_quadratic():
         f = _separable_argmin(problem, delta_star, rs)[1].sum(axis=-1)
     else:
         f = np.array(
-            [brute_force_lattice_min(problem, delta_star, r, mode=mode)[1] for r in rs]
+            [brute_force_lattice_min(problem, delta_star, r, mode="exhaustive")[1]
+             for r in rs]
         )
     se = float(f.std(ddof=1) / math.sqrt(f.size)) if f.size > 1 else 0.0
-    return BenchmarkEstimate(float(f.mean()), se, num_r_samples)
+    return BenchmarkEstimate(float(f.mean()), se)
 
 
 @dataclass

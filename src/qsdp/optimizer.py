@@ -158,7 +158,6 @@ class IterateTrace:
 
     seed: int
     steps: list[StepRecord] = field(default_factory=list)
-    final_objective: float = math.nan
     final_gap: float = math.nan
     gradient_bits: int = 0
 
@@ -269,7 +268,7 @@ def run(
     the other seeds or their order; traces come back in `seeds` order.
     Per-step records (`qsdp_step`'s objective, norms and shift) are built
     only with `keep_traces`; without it each seed's trace holds just its
-    final objective, gap and bit count, and the objective is evaluated once.
+    final gap and bit count, and the objective is evaluated once.
     """
     x0 = np.asarray(x0, dtype=float)
     ref = benchmark if benchmark is not None else (problem.optimal_value or 0.0)
@@ -288,7 +287,6 @@ def run(
                 x, _, _, _, bits = _step(x, problem, plan, rng, gradient_quantizer, None)
             total_bits += bits
         f_final = problem.objective(x)
-        trace.final_objective = f_final
         trace.final_gap = f_final - ref
         trace.gradient_bits = total_bits
         finals.append(f_final)

@@ -107,10 +107,6 @@ class QuantizedBlock:
         if not self.scale_lo <= self.scale_hi:
             raise ValueError("scale_lo must be <= scale_hi")
 
-    @property
-    def pitch(self) -> float:
-        return (self.scale_hi - self.scale_lo) / ((1 << self.bit_width) - 1)
-
     def __eq__(self, other):
         if not isinstance(other, QuantizedBlock):
             return NotImplemented

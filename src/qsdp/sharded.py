@@ -10,6 +10,11 @@ average of all workers' dequantized gradient contributions restricted to its
 shard.  Dense layers are quantized; bias and normalization layers always
 travel at full precision.
 
+Every worker runs the same layer math on its own rows of the batch, so
+activations are one (P, rows, width) array and a layer's matmul is one stacked
+call; numpy runs it as one gemm per worker slice, which matches per-worker
+matmuls bit for bit (one flat (batch, width) matmul would not).
+
 Each quantized shard message is quantized, encoded, decoded and dequantized
 as one segment of whole arrays.  Its randomness comes from one generator keyed
 by (root seed, step, layer, phase, source worker, shard start), and its
@@ -197,16 +202,6 @@ def bucket_rng(
     return np.random.default_rng(ss)
 
 
-def _send(values, bucket_size, bits, inner, rng) -> tuple[np.ndarray, int]:
-    """Quantize one shard message and pass it through wire v1.
-
-    Returns what the receiver reconstructs from the bytes alone and the
-    message size in bytes.
-    """
-    wire = encode_segment(quantize_segment(values, bucket_size, bits, inner, rng))
-    return dequantize_segment(decode_segment(wire)), len(wire)
-
-
 # ---------------------------------------------------------------------------
 # Toy MLP: alternating dense and bias layers, tanh between pairs.
 # ---------------------------------------------------------------------------
@@ -317,18 +312,19 @@ class ShardedMLP:
     def _message(self, step, layer_idx, phase, worker, start, values, copies, entry):
         """Send one shard message from `worker` to `copies` other workers.
 
-        Returns what a receiver reconstructs; records a transfer if copies > 0.
-        """
+        Returns what a receiver reconstructs (from the wire v1 bytes alone if
+        quantized); records a transfer if copies > 0."""
         layer = self.layers[layer_idx]
         bits = self._bits(layer, phase)
         if bits:
-            received, nbytes = _send(
+            wire = encode_segment(quantize_segment(
                 values,
                 self.quant.bucket_size,
                 bits,
                 "uniform_stochastic" if phase == PHASE_GRAD else "shift",
                 bucket_rng(self.cfg.root_seed, step, layer_idx, phase, worker, start),
-            )
+            ))
+            received, nbytes = dequantize_segment(decode_segment(wire)), len(wire)
         else:
             received, bits, nbytes = values, 32, values.size * 4
         if copies:
@@ -364,33 +360,30 @@ class ShardedMLP:
     # -- per-layer building blocks --------------------------------------
 
     def forward_layer(self, step, pair_idx, inputs, entry):
-        """Gather one dense+bias pair and compute every worker's output."""
+        """Gather one dense+bias pair; map (P, rows, fan_in) inputs to outputs."""
         w_full = self._gather(step, 2 * pair_idx, PHASE_W_FWD, entry)
         b_full = self._gather(step, 2 * pair_idx + 1, PHASE_W_FWD, entry)
-        w = w_full.reshape(self.layers[2 * pair_idx].shape)
-        zs = [h @ w + b_full for h in inputs]
-        last = pair_idx == self._pairs - 1
-        return [z if last else np.tanh(z) for z in zs]
+        z = inputs @ w_full.reshape(self.layers[2 * pair_idx].shape)
+        z += b_full
+        if pair_idx < self._pairs - 1:
+            np.tanh(z, out=z)
+        return z
 
-    def backward_layer(self, step, pair_idx, inputs, outputs, dzs, entry):
+    def backward_layer(self, step, pair_idx, inputs, dzs, entry):
         """Re-gather the pair, sync gradients, update the layers.
 
         The reduce-scatter runs worker by worker: each worker's full-layer
         gradient is computed into one scratch buffer, sent, and summed into
         the destination shards before the next worker's is computed.
-        Returns the dz for the previous pair (None at the input).
-        """
+        Returns the dz for the previous pair, whose tanh outputs are `inputs`
+        (None at the input)."""
         dense_idx = 2 * pair_idx
         dense, bias = self.layers[dense_idx], self.layers[dense_idx + 1]
         w_full = self._gather(step, dense_idx, PHASE_W_BWD, entry)
         self._gather(step, dense_idx + 1, PHASE_W_BWD, entry)  # bias, fp32
         w = w_full.reshape(dense.shape)
         P = self.cfg.P
-        dz_prev = None
-        if pair_idx > 0:
-            dz_prev = [
-                (dzs[p] @ w.T) * (1.0 - outputs[p] ** 2) for p in range(P)
-            ]
+        dz_prev = (dzs @ w.T) * (1.0 - inputs**2) if pair_idx > 0 else None
         dw, db = self._buffer("grad", dense), self._buffer("grad", bias)
         w_total, b_total = self._buffer("sum", dense), self._buffer("sum", bias)
         w_total.fill(0.0)
@@ -416,26 +409,16 @@ class ShardedMLP:
         data_step = 0 if cfg.fixed_batch else step
         x, y = make_batch(list(cfg.widths), cfg.batch, cfg.data_seed, data_step)
         rows = cfg.batch // cfg.P
-        xs = [x[p * rows : (p + 1) * rows] for p in range(cfg.P)]
-        ys = [y[p * rows : (p + 1) * rows] for p in range(cfg.P)]
-
-        inputs, outputs = [], []  # per pair: list over workers
-        hs = xs
-        for i in range(self._pairs):
-            inputs.append(hs)
-            outs = self.forward_layer(step, i, hs, entry)
-            outputs.append(outs)
-            hs = outs
-
-        losses = [
-            float(((hs[p] - ys[p]) ** 2).sum() / (2 * rows)) for p in range(cfg.P)
-        ]
+        inputs = [x.reshape(cfg.P, rows, -1)]  # per pair: (P, rows, fan_in)
+        for i in range(self._pairs - 1):
+            inputs.append(self.forward_layer(step, i, inputs[i], entry))
+        e = self.forward_layer(step, self._pairs - 1, inputs[-1], entry)
+        e -= y.reshape(cfg.P, rows, -1)
+        losses = [float((ep**2).sum() / (2 * rows)) for ep in e]  # per worker
         loss = float(np.mean(losses))
-        dzs = [(hs[p] - ys[p]) / rows for p in range(cfg.P)]
+        dzs = e / rows
         for i in range(self._pairs - 1, -1, -1):
-            dzs = self.backward_layer(step, i, inputs[i], outputs[i - 1] if i else None, dzs, entry)
-            if i and dzs is None:
-                raise RuntimeError("missing upstream gradient")
+            dzs = self.backward_layer(step, i, inputs[i], dzs, entry)
 
         self.ledger.append(entry)
         return loss, entry

@@ -315,7 +315,7 @@ def test_bandwidth_sweep_checks_every_config_before_computing(tmp_path, monkeypa
     import qsdp.experiments
 
     steps = []
-    monkeypatch.setattr(qsdp.experiments, "_one_step_entry", lambda *a: steps.append(a))
+    monkeypatch.setattr(qsdp.experiments, "_sim", lambda *a: steps.append(a))
     configs = [{"label": "ok", "weights": 8}, {"label": "bad", "weights": 17}]
     cfg_path = _write(tmp_path, "bw", dict(CONFIGS["bandwidth-sweep"], configs=configs))
     out = tmp_path / "out.csv"
@@ -334,6 +334,11 @@ EXTREME = {
     "converge-epsilon-subnormal": ("converge", {"epsilon": 1e-320}, "epsilon"),
     "quant-stats-deltas": ("quant-stats", {"deltas": [1e300]}, "deltas"),
     "quant-stats-deltas-sum": ("quant-stats", {"deltas": [1e306]}, "deltas"),
+    "train-sim-lr": ("train-sim", {"lr": 1e300}, "lr"),  # the quantizer refuses
+    "train-sim-lr-fp32": (
+        "train-sim", {"lr": 1e300, "bit_widths": {"weights": None, "gradients": None}}, "lr"
+    ),
+    "learn-levels-learning_rate": ("learn-levels", {"learning_rate": 1e300}, "learning_rate"),
 }
 
 
@@ -355,3 +360,46 @@ def test_extreme_config_numbers_exit_3_before_any_seed_runs(
     assert field in err
     assert runs == []
     assert not out.exists()
+
+
+class _ConfigRead(Exception):
+    """Raised in place of `_finish`, so a command stops once its config is read."""
+
+
+def test_readme_cli_table_names_every_field_each_command_reads(monkeypatch):
+    import pathlib
+    import re
+
+    import qsdp.experiments
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    table = {}
+    for line in (root / "README.md").read_text().splitlines():
+        row = re.match(r"\| `([a-z-]+)` \|", line)
+        if row:
+            table[row.group(1)] = line
+    configs = [json.loads(p.read_text()) for p in sorted((root / "configs").glob("*.json"))]
+    sweep = next(c for c in configs if c["experiment"] == "bandwidth-sweep")
+    ratios = {k: v for k, v in sweep.items() if k != "configs"}
+    configs.append(dict(ratios, mode="ratios", weight_ratios=[1, 2], gradient_ratios=[1]))
+
+    take, read = qsdp.experiments._take, []
+
+    def recording_take(cfg, used, key, *args, **kwargs):
+        read.append(key)
+        return take(cfg, used, key, *args, **kwargs)
+
+    def stop(cfg, used):
+        raise _ConfigRead
+
+    monkeypatch.setattr(qsdp.experiments, "_take", recording_take)
+    monkeypatch.setattr(qsdp.experiments, "_finish", stop)
+    missing = []
+    for cfg in configs:
+        command = cfg["experiment"]
+        read.clear()
+        with pytest.raises(_ConfigRead):
+            qsdp.experiments.dispatch(command, cfg)
+        assert read
+        missing += [f"{command}: {key}" for key in read if f"`{key}`" not in table[command]]
+    assert missing == []

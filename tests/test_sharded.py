@@ -206,9 +206,9 @@ class TestEquivalence:
         before = {k: v.copy() for k, v in sim.full_params().items()}
         entry = LedgerEntry(step=0)
         rows = sim.cfg.batch // sim.cfg.P
-        inputs = [np.ones((rows, WIDTHS[0])), np.ones((rows, WIDTHS[0]))]
-        zeros = [np.zeros((rows, WIDTHS[1])), np.zeros((rows, WIDTHS[1]))]
-        sim.backward_layer(0, 0, inputs, None, zeros, entry)
+        inputs = np.ones((2, rows, WIDTHS[0]))
+        zeros = np.zeros((2, rows, WIDTHS[1]))
+        sim.backward_layer(0, 0, inputs, zeros, entry)
         after = sim.full_params()
         assert np.array_equal(before["dense0"], after["dense0"])
         assert np.array_equal(before["bias0"], after["bias0"])
