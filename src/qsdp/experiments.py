@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .quantize import (
     LevelTable,
     learn_levels,
     quantize_with_levels,
+    shift_round,
 )
 from .sharded import NetworkModel, QuantConfig, ShardedMLP, SimConfig, simulate_step_time
 
@@ -135,7 +137,7 @@ def cmd_quant_stats(cfg: dict):
                 fracs = rng.uniform(0.1, 0.9, num_scalars)
                 for x in delta * (ints + fracs):
                     rs = rng.uniform(-delta / 2, delta / 2, samples)
-                    lattice = delta * np.round((x - rs) / delta)
+                    lattice = delta * shift_round(x, rs, delta)
                     mean = float((lattice + rs).mean())
                     mean_tol = 4 * delta / (2 * math.sqrt(samples))
                     rows.append(
@@ -155,7 +157,7 @@ def cmd_quant_stats(cfg: dict):
                     n_r = 4000
                     rs = rng.uniform(-delta / 2, delta / 2, n_r)
                     counts = np.count_nonzero(
-                        np.round((v[None, :] - rs[:, None]) / delta), axis=1
+                        shift_round(v[None, :], rs[:, None], delta), axis=1
                     )
                     est = float(counts.mean())
                     tol = 3 * float(counts.std(ddof=1) / math.sqrt(n_r))
@@ -198,6 +200,8 @@ def cmd_converge(cfg: dict):
         raise ConfigError(f"budget_draws: must be >= 2, got {budget_draws}")
     if sigma < 0:
         raise ConfigError("sigma: must be >= 0")
+    if sigma * sigma == math.inf:  # the plan needs sigma**2
+        raise ArithmeticError(f"sigma {sigma!r}: its square is beyond the float range")
 
     problem = quadratic_problem(np.diag(diagonal), np.asarray(linear, float), sigma)
     x0 = np.asarray(x0, dtype=float)
@@ -207,7 +211,8 @@ def cmd_converge(cfg: dict):
         )
         gap0 = problem.objective(x0) - bench.mean
     if not (math.isfinite(bench.mean) and math.isfinite(bench.standard_error)):
-        raise RuntimeError(f"delta_star {delta_star!r}: benchmark {bench.mean!r} "
+        raise RuntimeError(f"diagonal (max {max(diagonal):g}) and delta_star "
+                           f"{delta_star!r}: benchmark {bench.mean!r} "
                            f"(se {bench.standard_error!r}) is not finite")
     if not math.isfinite(gap0):
         raise RuntimeError(f"x0: initial gap {gap0!r} is not finite")
@@ -235,6 +240,10 @@ def cmd_converge(cfg: dict):
     if plan.iteration_count > MAX_ITERATIONS:
         raise RuntimeError(f"epsilon {epsilon!r} needs T={plan.iteration_count:.3g} "
                            f"iterations per seed, more than {MAX_ITERATIONS:.0e}")
+    with np.errstate(all="ignore"):  # the first snap needs finite lattice indices
+        if not np.isfinite(shift_round(x0, 0.0, plan.fine_resolution)).all():
+            raise RuntimeError(f"delta_star {delta_star!r}: x0 has no finite index on "
+                               f"the fine lattice of pitch {plan.fine_resolution!r}")
 
     result = run(
         problem, plan, x0, seeds,
@@ -342,9 +351,19 @@ def cmd_train_sim(cfg: dict):
                     )
                 rows.append(
                     [seed, t, loss, entry.allgather_bits, entry.reducescatter_bits,
-                     simulate_step_time(entry, network)]
+                     _step_time(entry, network, "bandwidth_bps")]
                 )
     return header, rows
+
+
+def _step_time(entry, net: NetworkModel, field: str) -> float:
+    """simulate_step_time, refusing an infinite one; `field` names the bandwidth."""
+    t = simulate_step_time(entry, net)
+    if not math.isfinite(t):
+        slow = not math.isfinite(entry.total_bits / net.bandwidth_bps)
+        raise ArithmeticError(f"{field if slow else 'latency_s'}: step time {t!r} s for "
+                              f"{entry.total_bits!r} bits at {net.bandwidth_bps!r} bit/s")
+    return t
 
 
 def _sim(layers, P, batch, lr, quant, seed, fixed_batch=False) -> ShardedMLP:
@@ -371,6 +390,8 @@ def cmd_bandwidth_sweep(cfg: dict):
     nets = [
         dataclasses.replace(base_net, bandwidth_bps=gbps * 1e9) for gbps in bandwidths
     ]
+    if max(bandwidths) * 1e9 == math.inf:
+        raise ArithmeticError(f"bandwidths_gbps: {max(bandwidths)!r} Gbit/s overflows bit/s")
     if mode == "bits":
         configs = _take(cfg, used, "configs", list)
         _finish(cfg, used)
@@ -391,7 +412,7 @@ def cmd_bandwidth_sweep(cfg: dict):
             for net in nets:
                 rows.append(
                     [label, net.bandwidth_bps, entry.total_bits, entry.allgather_bits,
-                     entry.reducescatter_bits, simulate_step_time(entry, net)]
+                     entry.reducescatter_bits, _step_time(entry, net, "bandwidths_gbps")]
                 )
         return header, rows
 
@@ -414,8 +435,8 @@ def cmd_bandwidth_sweep(cfg: dict):
                 reducescatter_bits=base.reducescatter_bits / gr,
             )
             for net in nets:
-                rows.append([f"w{wr}g{gr}", net.bandwidth_bps, wr, gr,
-                             scaled.total_bits, simulate_step_time(scaled, net)])
+                rows.append([f"w{wr}g{gr}", net.bandwidth_bps, wr, gr, scaled.total_bits,
+                             _step_time(scaled, net, "bandwidths_gbps")])
     return header, rows
 
 
@@ -484,7 +505,9 @@ def cmd_learn_levels(cfg: dict):
     else:
         values = rng.uniform(0.0, 1.0, num_values)
     try:  # a learning_rate too large overflows the level updates
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+            # too few distinct values to learn from: the row says improvement 0
+            warnings.filterwarnings("ignore", "fewer distinct values", RuntimeWarning)
             uniform_err, learned_err, _ = learned_vs_uniform_error(
                 values, bit_width, bucket_size, passes, learning_rate
             )
@@ -494,8 +517,9 @@ def cmd_learn_levels(cfg: dict):
         ) from exc
     header = ["distribution", "bit_width", "num_values", "uniform_rel_err",
               "learned_rel_err", "improvement"]
-    rows = [[distribution, bit_width, num_values, uniform_err, learned_err,
-             1.0 - learned_err / uniform_err]]
+    # a uniform table that is exact leaves the learned one exact too (both 0)
+    improvement = 1.0 - learned_err / uniform_err if uniform_err else 0.0
+    rows = [[distribution, bit_width, num_values, uniform_err, learned_err, improvement]]
     return header, rows
 
 

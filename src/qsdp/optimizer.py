@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import ProblemSpec
-from .quantize import BucketSpec, dequantize_segment, quantize_segment, sample_shift
+from .quantize import BucketSpec, dequantize_segment, quantize_segment
+from .quantize import sample_shift, shift_round
 from .wire import segment_size_bits
 
 # The block-list codec stays bound here for code that looks it up on this
@@ -220,9 +221,7 @@ def _step(x, problem, plan, rng, gradient_quantizer, shift):
     y = x - (plan.eta / problem.smoothness) * g
     d = plan.fine_resolution
     r = sample_shift(d, rng) if shift is None else shift
-    x_new = y - r
-    x_new /= d
-    np.rint(x_new, out=x_new)  # ties to even, as np.round
+    x_new = shift_round(y, r, d)
     x_new *= d
     x_new += r
     return x_new, y, g, r, bits

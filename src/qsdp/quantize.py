@@ -1,8 +1,10 @@
 """Stochastic quantization primitives.
 
-Two lattice quantizers (random-shift rounding and per-coordinate coin-flip
-rounding), bucketed min-max quantization for transport, and
-gradient-descent-optimized level tables for the learned-levels experiment.
+Two kernels that take their draws from the caller, `shift_round` (random-shift
+lattice rounding) and `flip_round` (unbiased randomized rounding), hold the
+rounding arithmetic of the two lattice quantizers, bucketed min-max quantization
+for transport and the optimizer's lattice snap.  Gradient-descent-optimized
+level tables serve the learned-levels experiment.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "BucketSpec",
+    "shift_round",
+    "flip_round",
     "QuantizedBlock",
     "LevelTable",
     "qshift_scalar",
@@ -125,6 +129,24 @@ def sample_shift(resolution: float, rng: np.random.Generator) -> float:
     return float(rng.uniform(-resolution / 2, resolution / 2))
 
 
+def shift_round(a, r, pitch, out=None):
+    """Lattice indices rint((a - r) / pitch) of `a` on pitch * Z + r, ties to
+    even.  `r` is the caller's shift, a float or an array broadcasting with `a`;
+    writes into `out` when given, and scalar input gives a 0-d array."""
+    out = np.subtract(a, r, out=... if out is None else out)
+    out /= pitch
+    return np.rint(out, out=out)
+
+
+def flip_round(a, u):
+    """Round the float array `a` in place to floor(a) + (u < a - floor(a)).
+    With draws `u` uniform on [0, 1), shaped as `a`, a value rounds up with
+    probability its fractional part, so the expectation equals the input."""
+    low = np.floor(a)
+    a -= low  # the fractional part
+    return np.add(low, u < a, out=a)
+
+
 def qshift_scalar(x, grid: GridSpec):
     """Round to the nearest point of the shifted lattice.
 
@@ -132,7 +154,7 @@ def qshift_scalar(x, grid: GridSpec):
     Accepts scalars or arrays.
     """
     d, r = grid.resolution, grid.shift
-    out = d * np.round((np.asarray(x, dtype=float) - r) / d) + r
+    out = d * shift_round(np.asarray(x, dtype=float), r, d) + r
     return float(out) if np.isscalar(x) else out
 
 
@@ -154,6 +176,16 @@ def _offset_block(k: np.ndarray, resolution: float, shift: float) -> QuantizedBl
     )
 
 
+def _lattice_input(v, resolution: float, shift: float = 0.0) -> np.ndarray:
+    """`v` as a non-empty, finite 1-D float array, for a valid lattice."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.size == 0:
+        raise ValueError("cannot quantize an empty vector")
+    GridSpec(resolution, shift)  # resolution > 0, shift within half a pitch
+    _check_finite(v)
+    return v
+
+
 def qshift_quantize(
     v,
     resolution: float,
@@ -166,17 +198,10 @@ def qshift_quantize(
     `shift`), every coordinate is rounded to the nearest point of the
     shifted lattice, and the lattice indices are stored as codes.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size == 0:
-        raise ValueError("cannot quantize an empty vector")
-    if not resolution > 0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
-    _check_finite(v)
+    v = _lattice_input(v, resolution, shift or 0.0)
     if shift is None:
         shift = sample_shift(resolution, rng)
-    else:
-        GridSpec(resolution, shift)  # validates the forced shift
-    k = np.round((v - shift) / resolution).astype(np.int64)
+    k = shift_round(v, shift, resolution).astype(np.int64)
     return _offset_block(k, resolution, shift)
 
 
@@ -186,16 +211,8 @@ def qflip_quantize(v, resolution: float, rng: np.random.Generator) -> QuantizedB
     x rounds down to resolution*floor(x/resolution) with probability
     1 - frac(x/resolution), up otherwise; no shift is applied.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size == 0:
-        raise ValueError("cannot quantize an empty vector")
-    if not resolution > 0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
-    _check_finite(v)
-    scaled = v / resolution
-    low = np.floor(scaled)
-    frac = scaled - low
-    k = (low + (rng.random(v.size) < frac)).astype(np.int64)
+    v = _lattice_input(v, resolution)
+    k = flip_round(v / resolution, rng.random(v.size)).astype(np.int64)
     return _offset_block(k, resolution, 0.0)
 
 
@@ -322,11 +339,11 @@ def _code(y, lo, span, bit_width, inner, rng):
     if inner == "shift":
         pitch = 1.0 / top
         r = rng.uniform(-pitch / 2, pitch / 2, size=np.shape(span))
-        u -= r
-        u /= pitch
-        q = _clip(np.rint(u, out=u), 0, top)  # ties to even, as np.round
+        q = _clip(shift_round(u, r, pitch, out=u), 0, top)
         return q.astype(np.uint32), (r * span).astype(np.float32).astype(np.float64)
-    return _stochastic_codes(u, bit_width, rng).astype(np.uint32), 0.0
+    # no clipping: a value rounds up only below the top code
+    u *= top
+    return flip_round(u, rng.random(u.shape)).astype(np.uint32), 0.0
 
 
 def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
@@ -443,20 +460,6 @@ def bucketed_quantize(
     return seg.blocks()
 
 
-def _stochastic_codes(u: np.ndarray, bit_width: int, rng: np.random.Generator):
-    """Unbiased rounding of u in [0, 1] onto the 2**bit_width point grid.
-
-    Rounds in place: `u` must be the caller's own temporary, and is left
-    holding fractional parts.  Needs no clipping: a value rounds up only
-    when its fractional part is positive, so below the top code.
-    """
-    u *= (1 << bit_width) - 1
-    low = np.floor(u)
-    u -= low  # the fractional part
-    low += rng.random(u.shape) < u
-    return low
-
-
 def uniform_stochastic_quantize(
     v, bit_width: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -473,7 +476,7 @@ def uniform_stochastic_quantize(
         raise ValueError(
             f"entry outside normalized interval [0, 1] at index {bad[0]}: {v[bad[0]]}"
         )
-    return _stochastic_codes(v.copy(), bit_width, rng).astype(np.uint32)
+    return flip_round(v * ((1 << bit_width) - 1), rng.random(v.shape)).astype(np.uint32)
 
 
 @dataclass

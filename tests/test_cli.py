@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -249,6 +251,26 @@ def test_example_configs_parse(tmp_path):
         assert "experiment" in cfg
 
 
+# sha256 of the `--no-timestamp` CSV of each file in configs/, recorded with
+# numpy 2.4 on x86-64.  Every shipped config gives the same bytes on every
+# run, so a changed digest means a changed draw stream or changed arithmetic.
+SHIPPED_DIGESTS = {
+    "bandwidth-sweep.json": "6f696f48df12a37717f6e36f2a1bbe4b1e77e07da898311c05ddb049147c709e",
+    "converge.json": "5dc161b7f8bacbb287c7b38e905b4a08b468a310bf0fa1d4adf867faf1b5f82e",
+    "learn-levels.json": "92c58adeb28fcd71b0d948275959567845bf7c0dc558f1f8d1d44d49501b9e8e",
+    "quant-stats.json": "ecdebf2630aa14b721730e49f15b931223ddaad9f7e1602a82d9d526a8dd4ba6",
+    "train-sim.json": "2742f0803ab86890e617d5417681ea2caedf8e7ae7348ccbcd23ae05dda5f5cc",
+}
+SHIPPED = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.name for p in SHIPPED])
+def test_shipped_config_output_bytes_are_pinned(tmp_path, path):
+    command = json.loads(path.read_text())["experiment"]
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_DIGESTS[path.name]
+
 MALFORMED = [
     ("converge", {"gradient_bits": 17}, "gradient_bits"),
     ("converge", {"gradient_bits": 0}, "gradient_bits"),
@@ -339,6 +361,20 @@ EXTREME = {
         "train-sim", {"lr": 1e300, "bit_widths": {"weights": None, "gradients": None}}, "lr"
     ),
     "learn-levels-learning_rate": ("learn-levels", {"learning_rate": 1e300}, "learning_rate"),
+    # x0 / fine_resolution overflows, so x0 has no lattice index
+    "converge-delta_star-subnormal": ("converge", {"delta_star": 1e-320}, "delta_star"),
+    "converge-sigma": ("converge", {"sigma": 1e300}, "sigma"),  # sigma**2 overflows
+    "converge-diagonal-huge": (
+        "converge", {"diagonal": [1e300, 1.0, 2.0, 4.0], "x0": [1.0] * 4}, "diagonal"
+    ),
+    "train-sim-bandwidth_bps": ("train-sim", {"bandwidth_bps": 1e-320}, "bandwidth_bps"),
+    "train-sim-latency_s": ("train-sim", {"latency_s": 1e308}, "latency_s"),
+    "bandwidth-sweep-bandwidths_gbps-tiny": (
+        "bandwidth-sweep", {"bandwidths_gbps": [1e-320]}, "bandwidths_gbps"
+    ),
+    "bandwidth-sweep-bandwidths_gbps-huge": (  # 1e300 Gbit/s is inf bit/s
+        "bandwidth-sweep", {"bandwidths_gbps": [1e300]}, "bandwidths_gbps"
+    ),
 }
 
 
@@ -360,6 +396,21 @@ def test_extreme_config_numbers_exit_3_before_any_seed_runs(
     assert field in err
     assert runs == []
     assert not out.exists()
+
+
+def test_learn_levels_with_nothing_to_learn_reports_zero_improvement(tmp_path, capsys):
+    # one value per bucket: every bucket is constant and both tables are exact
+    cfg = dict(CONFIGS["learn-levels"], num_values=3, bit_width=1, bucket_size=1)
+    cfg_path = _write(tmp_path, "learn-levels", cfg)
+    out = tmp_path / "out.csv"
+    rc = main(["learn-levels", "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    header, row = _rows(out)
+    got = dict(zip(header, row))
+    assert (got["uniform_rel_err"], got["learned_rel_err"], got["improvement"]) == (
+        "0.0", "0.0", "0.0"
+    )
 
 
 class _ConfigRead(Exception):

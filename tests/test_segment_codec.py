@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsdp.quantize import (
@@ -19,6 +19,8 @@ from qsdp.quantize import (
     bucketed_quantize,
     dequantize,
     dequantize_segment,
+    qflip_quantize,
+    qshift_quantize,
     quantize_bucket,
     quantize_segment,
 )
@@ -125,6 +127,50 @@ def test_quantize_bucket_is_a_one_bucket_segment(message):
     block = quantize_bucket(v, bits, inner, np.random.default_rng(seed))
     codes, shift, lo, hi = _oracle_bucket(v, bits, inner, np.random.default_rng(seed))
     assert block == QuantizedBlock(codes, shift, lo, hi, bits, v.size)
+
+
+# -- the transport against the paper's quantizers ------------------------------
+
+
+def _lattice_indices(block, resolution):
+    """Signed lattice indices of a `qshift_quantize`/`qflip_quantize` block."""
+    return block.codes.astype(np.int64) + round(block.scale_lo / resolution)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 2000),
+    st.integers(1, 16),
+    st.sampled_from([1e-3, 1.0, 1e6]),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_bucket_codes_are_the_paper_quantizers_on_the_normalized_bucket(
+    n, bits, scale, seed
+):
+    """With a bucket normalized to u on [0, 1] and top = 2**bits - 1, shift mode
+    gives clip(k, 0, top) for the lattice indices k of qshift_quantize(u, 1/top)
+    at the codec's own shift, and uniform_stochastic mode gives the lattice
+    indices of qflip_quantize(u * top, 1.0), each drawing from a copy of the
+    codec's generator."""
+    v = np.random.default_rng(seed).standard_normal(n) * scale
+    lo, hi = float(np.float32(v.min())), float(np.float32(v.max()))
+    assume(lo != hi)
+    u = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
+    top = (1 << bits) - 1
+    pitch = 1 / top
+
+    rng = np.random.default_rng(seed + 1)
+    copy = np.random.default_rng(seed + 1)
+    r = copy.uniform(-pitch / 2, pitch / 2)
+    k = _lattice_indices(qshift_quantize(u, pitch, copy, shift=r), pitch)
+    seg = quantize_segment(v, n, bits, "shift", rng)
+    assert np.array_equal(seg.rows[0], np.clip(k, 0, top))
+    assert seg.shift[0] == float(np.float32(r * (hi - lo)))
+
+    seg = quantize_segment(v, n, bits, "uniform_stochastic", rng)
+    k = _lattice_indices(qflip_quantize(u * top, 1.0, copy), 1.0)
+    assert np.array_equal(seg.rows[0], k)
+    assert rng.bit_generator.state == copy.bit_generator.state
 
 
 def test_codec_has_two_inner_modes_and_decodes_from_the_bytes_alone():
