@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
@@ -179,7 +178,7 @@ def cmd_converge(cfg: dict):
     diagonal = _take(cfg, used, "diagonal", list, check=_positive_list)
     n = len(diagonal)
     linear = _take(cfg, used, "linear", list, [0.0] * n, _number_list)
-    sigma = _take(cfg, used, "sigma", float, 0.0)
+    sigma = _take(cfg, used, "sigma", float, 0.0, _non_negative)
     epsilon = _take(cfg, used, "epsilon", float, check=_positive)
     delta_star = _take(cfg, used, "delta_star", float, check=_positive)
     x0 = _take(cfg, used, "x0", list, check=_number_list)
@@ -198,8 +197,6 @@ def cmd_converge(cfg: dict):
         raise ConfigError(f"gradient_bits: must be in [1, 16], got {gradient_bits}")
     if budget_draws < 2:
         raise ConfigError(f"budget_draws: must be >= 2, got {budget_draws}")
-    if sigma < 0:
-        raise ConfigError("sigma: must be >= 0")
     if sigma * sigma == math.inf:  # the plan needs sigma**2
         raise ArithmeticError(f"sigma {sigma!r}: its square is beyond the float range")
 
@@ -211,9 +208,8 @@ def cmd_converge(cfg: dict):
         )
         gap0 = problem.objective(x0) - bench.mean
     if not (math.isfinite(bench.mean) and math.isfinite(bench.standard_error)):
-        raise RuntimeError(f"diagonal (max {max(diagonal):g}) and delta_star "
-                           f"{delta_star!r}: benchmark {bench.mean!r} "
-                           f"(se {bench.standard_error!r}) is not finite")
+        raise RuntimeError(f"diagonal and delta_star {delta_star!r}: benchmark "
+                           f"{bench.mean!r} (se {bench.standard_error!r}) is not finite")
     if not math.isfinite(gap0):
         raise RuntimeError(f"x0: initial gap {gap0!r} is not finite")
 
@@ -240,15 +236,14 @@ def cmd_converge(cfg: dict):
     if plan.iteration_count > MAX_ITERATIONS:
         raise RuntimeError(f"epsilon {epsilon!r} needs T={plan.iteration_count:.3g} "
                            f"iterations per seed, more than {MAX_ITERATIONS:.0e}")
-    with np.errstate(all="ignore"):  # the first snap needs finite lattice indices
-        if not np.isfinite(shift_round(x0, 0.0, plan.fine_resolution)).all():
-            raise RuntimeError(f"delta_star {delta_star!r}: x0 has no finite index on "
-                               f"the fine lattice of pitch {plan.fine_resolution!r}")
 
-    result = run(
-        problem, plan, x0, seeds,
-        gradient_quantizer=quantizer, benchmark=bench.mean, keep_traces=keep_trace,
-    )
+    try:  # a pitch too fine for the iterates overflows their lattice indices
+        with np.errstate(all="ignore"):
+            result = run(problem, plan, x0, seeds, gradient_quantizer=quantizer,
+                         benchmark=bench.mean, keep_traces=keep_trace)
+    except RuntimeError as exc:
+        raise RuntimeError(f"delta_star {delta_star!r} (fine lattice pitch "
+                           f"{plan.fine_resolution!r}): {exc}") from exc
 
     header = [
         "record", "seed", "step", "f", "gap", "quant_error_norm", "grad_norm",
@@ -360,9 +355,9 @@ def _step_time(entry, net: NetworkModel, field: str) -> float:
     """simulate_step_time, refusing an infinite one; `field` names the bandwidth."""
     t = simulate_step_time(entry, net)
     if not math.isfinite(t):
-        slow = not math.isfinite(entry.total_bits / net.bandwidth_bps)
-        raise ArithmeticError(f"{field if slow else 'latency_s'}: step time {t!r} s for "
-                              f"{entry.total_bits!r} bits at {net.bandwidth_bps!r} bit/s")
+        terms = {field: entry.total_bits / net.bandwidth_bps, "compute_time_s":
+                 net.compute_time_s, "latency_s": net.latency_s * entry.collective_count}
+        raise ArithmeticError(f"{max(terms, key=terms.get)}: step time {t!r} s")
     return t
 
 
@@ -455,8 +450,9 @@ def learned_vs_uniform_error(
     """Relative L2 reconstruction error of uniform vs learned level tables.
 
     Values are min-max normalized bucket-wise; one shared table is trained
-    over all normalized values in order and both tables are evaluated with
-    deterministic nearest-level quantization on the original scale.
+    over all normalized values in order, unless the uniform one is already
+    exact, and both tables are evaluated with deterministic nearest-level
+    quantization on the original scale.
     """
     values = np.asarray(values, dtype=float)
     spans = []
@@ -468,10 +464,6 @@ def learned_vs_uniform_error(
         normalized[start : start + seg.size] = (
             (seg - lo) / (hi - lo) if hi > lo else 0.0
         )
-    table = LevelTable.uniform(bit_width)
-    for _ in range(passes):
-        table = learn_levels(normalized, table, learning_rate)
-    uniform = LevelTable.uniform(bit_width)
 
     def rel_err(tab):
         err = 0.0
@@ -481,7 +473,11 @@ def learned_vs_uniform_error(
             err += float(((values[start : start + size] - recon) ** 2).sum())
         return math.sqrt(err) / math.sqrt(float((values**2).sum()))
 
-    return rel_err(uniform), rel_err(table), table
+    table = LevelTable.uniform(bit_width)
+    uniform_err = rel_err(table)
+    for _ in range(passes if uniform_err else 0):  # an exact table has nothing to learn
+        table = learn_levels(normalized, table, learning_rate)
+    return uniform_err, rel_err(table), table
 
 
 def cmd_learn_levels(cfg: dict):
@@ -505,9 +501,7 @@ def cmd_learn_levels(cfg: dict):
     else:
         values = rng.uniform(0.0, 1.0, num_values)
     try:  # a learning_rate too large overflows the level updates
-        with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
-            # too few distinct values to learn from: the row says improvement 0
-            warnings.filterwarnings("ignore", "fewer distinct values", RuntimeWarning)
+        with np.errstate(over="raise", invalid="raise"):
             uniform_err, learned_err, _ = learned_vs_uniform_error(
                 values, bit_width, bucket_size, passes, learning_rate
             )
@@ -517,9 +511,8 @@ def cmd_learn_levels(cfg: dict):
         ) from exc
     header = ["distribution", "bit_width", "num_values", "uniform_rel_err",
               "learned_rel_err", "improvement"]
-    # a uniform table that is exact leaves the learned one exact too (both 0)
-    improvement = 1.0 - learned_err / uniform_err if uniform_err else 0.0
-    rows = [[distribution, bit_width, num_values, uniform_err, learned_err, improvement]]
+    rows = [[distribution, bit_width, num_values, uniform_err, learned_err,
+             1.0 - learned_err / uniform_err if uniform_err else 0.0]]
     return header, rows
 
 

@@ -133,7 +133,7 @@ def shift_round(a, r, pitch, out=None):
     """Lattice indices rint((a - r) / pitch) of `a` on pitch * Z + r, ties to
     even.  `r` is the caller's shift, a float or an array broadcasting with `a`;
     writes into `out` when given, and scalar input gives a 0-d array."""
-    out = np.subtract(a, r, out=... if out is None else out)
+    out = np.asarray(np.subtract(a, r)) if out is None else np.subtract(a, r, out=out)
     out /= pitch
     return np.rint(out, out=out)
 

@@ -361,14 +361,15 @@ EXTREME = {
         "train-sim", {"lr": 1e300, "bit_widths": {"weights": None, "gradients": None}}, "lr"
     ),
     "learn-levels-learning_rate": ("learn-levels", {"learning_rate": 1e300}, "learning_rate"),
-    # x0 / fine_resolution overflows, so x0 has no lattice index
-    "converge-delta_star-subnormal": ("converge", {"delta_star": 1e-320}, "delta_star"),
     "converge-sigma": ("converge", {"sigma": 1e300}, "sigma"),  # sigma**2 overflows
     "converge-diagonal-huge": (
         "converge", {"diagonal": [1e300, 1.0, 2.0, 4.0], "x0": [1.0] * 4}, "diagonal"
     ),
     "train-sim-bandwidth_bps": ("train-sim", {"bandwidth_bps": 1e-320}, "bandwidth_bps"),
     "train-sim-latency_s": ("train-sim", {"latency_s": 1e308}, "latency_s"),
+    "train-sim-compute_time_s": (  # the largest of two finite terms that overflow
+        "train-sim", {"compute_time_s": 1.7e308, "latency_s": 1e307}, "compute_time_s"
+    ),
     "bandwidth-sweep-bandwidths_gbps-tiny": (
         "bandwidth-sweep", {"bandwidths_gbps": [1e-320]}, "bandwidths_gbps"
     ),
@@ -398,6 +399,29 @@ def test_extreme_config_numbers_exit_3_before_any_seed_runs(
     assert not out.exists()
 
 
+# A fine lattice pitch so small that an iterate has no finite index on it.
+SNAP_OVERFLOW = {
+    "delta_star-subnormal": {"delta_star": 1e-320},
+    # x0 = 0 has an index; the first step, towards the optimum at 1e7, not
+    "delta_star-x0-0": {
+        "delta_star": 1e-300, "x0": [0.0, 0.0], "linear": [1e7, 1e7], "sigma": 0.0
+    },
+}
+
+
+@pytest.mark.parametrize("patch", SNAP_OVERFLOW.values(), ids=SNAP_OVERFLOW.keys())
+def test_converge_snap_overflow_exits_3_naming_delta_star(tmp_path, capsys, patch):
+    cfg = dict(CONFIGS["converge"], **patch)
+    cfg_path = _write(tmp_path, "converge", cfg)
+    out = tmp_path / "out.csv"
+    rc = main(["converge", "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("qsdp: numerical failure: delta_star")
+    assert not out.exists()
+
+
 def test_learn_levels_with_nothing_to_learn_reports_zero_improvement(tmp_path, capsys):
     # one value per bucket: every bucket is constant and both tables are exact
     cfg = dict(CONFIGS["learn-levels"], num_values=3, bit_width=1, bucket_size=1)
@@ -411,6 +435,22 @@ def test_learn_levels_with_nothing_to_learn_reports_zero_improvement(tmp_path, c
     assert (got["uniform_rel_err"], got["learned_rel_err"], got["improvement"]) == (
         "0.0", "0.0", "0.0"
     )
+
+
+def test_learn_levels_with_too_few_distinct_values_still_warns(tmp_path):
+    # three values in one bucket against four levels: nothing is learned, but
+    # the uniform table is not exact, so the warning is the only sign of it
+    cfg = dict(CONFIGS["learn-levels"], num_values=3, bit_width=2, bucket_size=3)
+    cfg_path = _write(tmp_path, "learn-levels", cfg)
+    out = tmp_path / "out.csv"
+    with pytest.warns(RuntimeWarning, match="fewer distinct values than levels"):
+        rc = main(["learn-levels", "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    assert rc == 0
+    header, row = _rows(out)
+    got = dict(zip(header, row))
+    assert float(got["uniform_rel_err"]) > 0.0
+    assert got["learned_rel_err"] == got["uniform_rel_err"]
+    assert got["improvement"] == "0.0"
 
 
 class _ConfigRead(Exception):
