@@ -200,7 +200,10 @@ def cmd_converge(cfg: dict):
     if sigma * sigma == math.inf:  # the plan needs sigma**2
         raise ArithmeticError(f"sigma {sigma!r}: its square is beyond the float range")
 
-    problem = quadratic_problem(np.diag(diagonal), np.asarray(linear, float), sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        problem = quadratic_problem(np.diag(diagonal), np.asarray(linear, float), sigma)
+    if not math.isfinite(problem.optimal_value):
+        raise ArithmeticError(f"linear: optimal value {problem.optimal_value!r} is not finite")
     x0 = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         bench = benchmark_expectation(
@@ -223,6 +226,7 @@ def cmd_converge(cfg: dict):
         )
         grad_var = budget.sigma_nabla_sq
         quantizer = UniformStochasticGradientQuantizer(gradient_bits)
+    at_sigma = f" at sigma {sigma!r}" if sigma > 0 else ""  # eta scales as 1/sigma**2
     try:
         plan = make_plan(
             problem, epsilon, delta_star, gap0,
@@ -231,10 +235,10 @@ def cmd_converge(cfg: dict):
     except (ArithmeticError, ValueError) as exc:  # valid fields, out of float range
         raise ArithmeticError(
             f"diagonal (condition number {max(diagonal) / min(diagonal):.3g}) and "
-            f"epsilon {epsilon!r} give no finite plan: {exc}"
+            f"epsilon {epsilon!r}{at_sigma} give no finite plan: {exc}"
         ) from exc
     if plan.iteration_count > MAX_ITERATIONS:
-        raise RuntimeError(f"epsilon {epsilon!r} needs T={plan.iteration_count:.3g} "
+        raise RuntimeError(f"epsilon {epsilon!r}{at_sigma} needs T={plan.iteration_count:.3g} "
                            f"iterations per seed, more than {MAX_ITERATIONS:.0e}")
 
     try:  # a pitch too fine for the iterates overflows their lattice indices

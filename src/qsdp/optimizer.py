@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import ProblemSpec
-from .quantize import BucketSpec, dequantize_segment, quantize_segment
-from .quantize import sample_shift, shift_round
+from .quantize import BucketSpec, _roundtrip, sample_shift, shift_round
 from .wire import segment_size_bits
 
 # The block-list codec stays bound here for code that looks it up on this
@@ -180,8 +179,8 @@ class RunResult:
 class UniformStochasticGradientQuantizer:
     """Bucketed unbiased gradient quantizer that accounts its wire bits.
 
-    A gradient is one `quantize_segment` message: the values, draws and bit
-    count of `bucketed_quantize` followed by a per-block `dequantize`.
+    A gradient is one unbuilt `quantize_segment` message: the values, draws
+    and bit count of `bucketed_quantize` followed by a per-block `dequantize`.
     """
 
     def __init__(self, bit_width: int, bucket: BucketSpec | None = None):
@@ -193,11 +192,12 @@ class UniformStochasticGradientQuantizer:
     def __call__(
         self, g: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, int]:
-        seg = quantize_segment(
-            g, self.bucket.bucket_size, self.bit_width, "uniform_stochastic", rng
-        )
-        bits = segment_size_bits(seg.length, self.bucket.bucket_size, self.bit_width)
-        return dequantize_segment(seg), bits
+        size, bits = self.bucket.bucket_size, self.bit_width
+        g = np.asarray(g, dtype=float).ravel()  # as quantize_segment takes it
+        if not g.size:
+            raise ValueError("cannot quantize an empty vector")
+        g_hat = _roundtrip(g, size, bits, "uniform_stochastic", rng)
+        return g_hat, segment_size_bits(g.size, size, bits)
 
 
 def _all_finite(a: np.ndarray) -> bool:

@@ -1,10 +1,13 @@
 """Stochastic quantization primitives.
 
 Two kernels that take their draws from the caller, `shift_round` (random-shift
-lattice rounding) and `flip_round` (unbiased randomized rounding), hold the
-rounding arithmetic of the two lattice quantizers, bucketed min-max quantization
-for transport and the optimizer's lattice snap.  Gradient-descent-optimized
-level tables serve the learned-levels experiment.
+lattice rounding, rint((a - r) / pitch)) and `flip_round` (unbiased randomized
+rounding, floor(a + u)), hold the rounding arithmetic of the two lattice
+quantizers, bucketed min-max quantization for transport and the optimizer's
+lattice snap.  The codec scales a bucket to (v - lo) * top / span and applies
+either kernel at resolution 1.  These rules replaced floor(a) + (u < frac(a))
+and a [0, 1]-normalized codec: same draws, other codes (README, Determinism).
+Gradient-descent-optimized level tables serve the learned-levels experiment.
 """
 
 from __future__ import annotations
@@ -134,17 +137,17 @@ def shift_round(a, r, pitch, out=None):
     even.  `r` is the caller's shift, a float or an array broadcasting with `a`;
     writes into `out` when given, and scalar input gives a 0-d array."""
     out = np.asarray(np.subtract(a, r)) if out is None else np.subtract(a, r, out=out)
-    out /= pitch
+    if pitch != 1:  # dividing by 1 is exact, so the pass is skipped
+        out /= pitch
     return np.rint(out, out=out)
 
 
 def flip_round(a, u):
-    """Round the float array `a` in place to floor(a) + (u < a - floor(a)).
+    """Round the float array `a` in place to floor(a + u).
     With draws `u` uniform on [0, 1), shaped as `a`, a value rounds up with
     probability its fractional part, so the expectation equals the input."""
-    low = np.floor(a)
-    a -= low  # the fractional part
-    return np.add(low, u < a, out=a)
+    a += u
+    return np.floor(a, out=a)
 
 
 def qshift_scalar(x, grid: GridSpec):
@@ -223,14 +226,14 @@ def dequantize(block: QuantizedBlock) -> np.ndarray:
         raise ValueError(
             f"corrupted code >= 2**{block.bit_width} cannot be decoded"
         )
-    return _values(codes, block.scale_lo, block.scale_hi, block.shift, block.bit_width)
+    return _values(codes, block.shift, block.scale_lo, block.scale_hi, block.bit_width)
 
 
 class Segment(NamedTuple):
     """One message of consecutive buckets, held as whole arrays.
 
-    `rows` holds the codes of the full buckets, one bucket per row; `tail`
-    the codes of a shorter final bucket (empty when the bucket size divides
+    `rows` holds the unsigned codes of the full buckets, one bucket per row;
+    `tail` those of a shorter final bucket (empty when the bucket size divides
     the length).  `shift`, `scale_lo` and `scale_hi` hold one float32-exact
     float64 per bucket, full buckets first.  A message shorter than the
     bucket size is a single full row, which is how wire v1 frames it.
@@ -291,7 +294,7 @@ def _quantize_rows(x, v, bit_width, inner, rng):
     live = lo != hi  # degenerate rows keep all-zero codes and no shift
     n_live = np.count_nonzero(live)
     if not n_live:
-        return np.zeros(x.shape, np.uint32), np.zeros(x.shape[0]), lo, hi
+        return np.zeros(x.shape), np.zeros(x.shape[0]), lo, hi
     if n_live == live.size:
         y, l, h = x, lo, hi
     else:
@@ -300,7 +303,7 @@ def _quantize_rows(x, v, bit_width, inner, rng):
     shift = np.ravel(shift) if inner == "shift" else np.zeros(n_live)
     if n_live == live.size:
         return q, shift, lo, hi
-    codes = np.zeros(x.shape, np.uint32)
+    codes = np.zeros(x.shape)
     codes[live] = q
     shifts = np.zeros(x.shape[0])
     shifts[live] = shift
@@ -319,37 +322,38 @@ def _quantize_row(row, v, bit_width, inner, rng):
         _reject_untransportable(v)
     lo, hi = float(np.float32(lo)), float(np.float32(hi))
     if lo == hi:  # degenerate: all-zero codes, no shift and no draw
-        return np.zeros(row.size, np.uint32), 0.0, lo, hi
+        return np.zeros(row.size), 0.0, lo, hi
     codes, shift = _code(row, lo, hi - lo, bit_width, inner, rng)
     return codes, float(shift), lo, hi
+
+
+def _code_dtype(bit_width: int) -> np.dtype:
+    """The narrowest little-endian unsigned type that holds the codes."""
+    return np.dtype("<u1" if bit_width <= 8 else "<u2" if bit_width <= 16 else "<u4")
 
 
 def _code(y, lo, span, bit_width, inner, rng):
     """Codes of `y` in buckets spanning [lo, lo + span], span > 0.
 
     `lo` and `span` are floats for one bucket, or (buckets, 1) columns for
-    the rows of a 2-D `y`.  Shift mode draws one shift per bucket in order.
-    Returns (codes, shift): shift float32-exact and shaped as `span`, or 0.0
-    for uniform_stochastic.
+    the rows of a 2-D `y`.  a = (y - lo) * top / span rounds at resolution 1
+    to rint(a - r), one r ~ U[-1/2, 1/2) per bucket in order (shift), or to
+    floor(a + u), one u ~ U[0, 1) per value (uniform_stochastic), then clips to
+    [0, top].  Returns (float64 codes, shift): shift = r * span / top,
+    float32-exact and shaped as `span`, or 0.0 for uniform_stochastic.
     """
     top = (1 << bit_width) - 1
-    u = y - lo
-    u /= span
-    _clip(u, 0.0, 1.0)
+    a = y - lo
+    a *= top / span
     if inner == "shift":
-        pitch = 1.0 / top
-        r = rng.uniform(-pitch / 2, pitch / 2, size=np.shape(span))
-        q = _clip(shift_round(u, r, pitch, out=u), 0, top)
-        return q.astype(np.uint32), (r * span).astype(np.float32).astype(np.float64)
-    # no clipping: a value rounds up only below the top code
-    u *= top
-    return flip_round(u, rng.random(u.shape)).astype(np.uint32), 0.0
-
-
-def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
-    """np.clip in place, without its per-call overhead."""
-    np.maximum(a, lo, out=a)
-    return np.minimum(a, hi, out=a)
+        r = rng.uniform(-0.5, 0.5, size=np.shape(span))
+        shift = (r * span / top).astype(np.float32).astype(np.float64)
+        shift_round(a, r, 1, out=a)
+    else:
+        shift = 0.0
+        flip_round(a, rng.random(a.shape))
+    np.maximum(a, 0.0, out=a)  # np.clip without its per-call overhead
+    return np.minimum(a, top, out=a), shift
 
 
 def quantize_segment(
@@ -361,8 +365,8 @@ def quantize_segment(
 ) -> Segment:
     """Min-max quantize consecutive buckets of `v` as one segment.
 
-    Each bucket is normalized to [0, 1] by its own float32-rounded minimum
-    and maximum and rounded onto the 2**bit_width point grid by `inner`:
+    Each bucket is scaled to [0, 2**bit_width - 1] by its own float32-rounded
+    minimum and maximum and rounded onto the integer grid by `inner`:
     "shift" (nearest point after one random shift per bucket, for weights)
     or "uniform_stochastic" (unbiased per-value rounding, for gradients).
     Either way the segment decodes from its own fields alone.  A degenerate
@@ -383,6 +387,7 @@ def quantize_segment(
         raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
     size = min(bucket_size, v.size)
     k, tail_len = divmod(v.size, size)
+    dtype = _code_dtype(bit_width)  # the wire's, so encoding casts nothing
     if k > 1:
         rows = v[: k * size].reshape(k, size)
         codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng)
@@ -390,36 +395,53 @@ def quantize_segment(
         row, shift, lo, hi = _quantize_row(v[:size], v, bit_width, inner, rng)
         codes, shift, lo, hi = row[None], np.array([shift]), np.array([lo]), np.array([hi])
     if not tail_len:
-        return Segment(codes, _NO_TAIL, shift, lo, hi, bit_width)
+        return Segment(codes.astype(dtype), _NO_TAIL, shift, lo, hi, bit_width)
     tail, *tail_meta = _quantize_row(v[k * size :], v, bit_width, inner, rng)
     meta = [np.append(a, t) for a, t in zip((shift, lo, hi), tail_meta)]
-    return Segment(codes, tail, *meta, bit_width)
+    return Segment(codes.astype(dtype), tail.astype(dtype), *meta, bit_width)
 
 
 def dequantize_segment(seg: Segment) -> np.ndarray:
     """Reconstruct every value of a segment, as `dequantize` does per block."""
     k = seg.rows.shape[0]
     if k == 1 and not seg.tail.size:  # one bucket, as a message no longer than it
-        meta = seg.scale_lo.item(), seg.scale_hi.item(), seg.shift.item()
+        meta = seg.shift.item(), seg.scale_lo.item(), seg.scale_hi.item()
         return _values(seg.rows[0], *meta, seg.bit_width)
-    meta = seg.scale_lo[:k, None], seg.scale_hi[:k, None], seg.shift[:k, None]
+    meta = seg.shift[:k, None], seg.scale_lo[:k, None], seg.scale_hi[:k, None]
     out = _values(seg.rows, *meta, seg.bit_width).ravel()
     if not seg.tail.size:
         return out
-    meta = seg.scale_lo[k].item(), seg.scale_hi[k].item(), seg.shift[k].item()
+    meta = seg.shift[k].item(), seg.scale_lo[k].item(), seg.scale_hi[k].item()
     return np.concatenate((out, _values(seg.tail, *meta, seg.bit_width)))
 
 
-def _values(codes, lo, hi, shift, bit_width):
+def _roundtrip(v, bucket_size, bit_width, inner, rng):
+    """dequantize_segment(quantize_segment(v, ...)) bit for bit, for a
+    non-empty 1-D float array `v`, without building the Segment."""
+    size = min(bucket_size, v.size)
+    k, tail_len = divmod(v.size, size)
+    if k > 1:
+        codes, *meta = _quantize_rows(v[: k * size].reshape(k, size), v, bit_width, inner, rng)
+        out = _values(codes, *(m[:, None] for m in meta), bit_width).ravel()
+    else:
+        out = _values(*_quantize_row(v[:size], v, bit_width, inner, rng), bit_width)
+    if not tail_len:
+        return out
+    tail = _values(*_quantize_row(v[k * size :], v, bit_width, inner, rng), bit_width)
+    return np.concatenate((out, tail))
+
+
+def _values(codes, shift, lo, hi, bit_width):
     """Values of `codes` in buckets spanning [lo, hi], plus `shift`.
 
     The metadata are floats for one bucket, or (buckets, 1) columns for the
-    rows of a 2-D `codes`, as in `_code`.
+    rows of a 2-D `codes`, as in `_code`.  Float64 codes are overwritten.
     """
-    out = np.multiply(codes, (hi - lo) / ((1 << bit_width) - 1))
+    out = codes.astype(np.float64, copy=False)
+    out *= (hi - lo) / ((1 << bit_width) - 1)
     out += lo
     # lo + code * pitch is never -0.0, so adding a zero shift is the identity
-    if np.count_nonzero(shift):
+    if shift if isinstance(shift, float) else np.count_nonzero(shift):
         out += shift
     return out
 
@@ -430,7 +452,7 @@ def quantize_bucket(
     inner: str,
     rng: np.random.Generator,
 ) -> QuantizedBlock:
-    """Min-max normalize one bucket to [0, 1] and quantize it.
+    """Min-max scale one bucket onto its code grid and quantize it.
 
     Degenerate buckets (all values equal) encode all-zero codes with
     scale_lo == scale_hi and decode to the constant exactly.
@@ -476,7 +498,8 @@ def uniform_stochastic_quantize(
         raise ValueError(
             f"entry outside normalized interval [0, 1] at index {bad[0]}: {v[bad[0]]}"
         )
-    return flip_round(v * ((1 << bit_width) - 1), rng.random(v.shape)).astype(np.uint32)
+    top = (1 << bit_width) - 1  # floor(top + u) may round up to top + 1
+    return np.minimum(flip_round(v * top, rng.random(v.shape)), top).astype(np.uint32)
 
 
 @dataclass

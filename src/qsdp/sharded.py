@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import dequantize_segment, quantize_segment
+from .quantize import _roundtrip, dequantize_segment, quantize_segment
 from .wire import decode_segment, encode_segment
 
 # The per-bucket codec stays bound here for code that looks it up on this
@@ -454,19 +454,12 @@ class ReferenceMLP:
         flat = self.params[layer.name]
         if not (layer.kind == "dense" and self.quant.quantize_weights):
             return flat.copy()
-        parts = []
-        for s, e in shard_bounds(flat.size, self.cfg.P):
-            if e == s:
-                continue
-            seg = quantize_segment(
-                flat[s:e],
-                self.quant.bucket_size,
-                self.quant.weight_bits,
-                "shift",
-                bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s),
-            )
-            parts.append(dequantize_segment(seg))
-        return np.concatenate(parts)
+        size, bits = self.quant.bucket_size, self.quant.weight_bits
+        return np.concatenate([
+            _roundtrip(flat[s:e], size, bits, "shift",
+                       bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s))
+            for s, e in shard_bounds(flat.size, self.cfg.P) if e > s
+        ])
 
     def _averaged_gradient(self, step, layer_idx, per_worker_grads):
         layer = self.layers[layer_idx]
@@ -482,15 +475,8 @@ class ReferenceMLP:
                 seg = per_worker_grads[p][s:e]
                 if quantized:
                     rng = bucket_rng(self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, s)
-                    vals = dequantize_segment(
-                        quantize_segment(
-                            seg,
-                            self.quant.bucket_size,
-                            self.quant.gradient_bits,
-                            "uniform_stochastic",
-                            rng,
-                        )
-                    )
+                    vals = _roundtrip(seg, self.quant.bucket_size, self.quant.gradient_bits,
+                                      "uniform_stochastic", rng)
                 else:
                     vals = seg
                 acc = acc + vals

@@ -28,11 +28,12 @@ scale_lo > scale_hi.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
 
-from .quantize import QuantizedBlock, Segment
+from .quantize import QuantizedBlock, Segment, _code_dtype
 
 __all__ = [
     "WIRE_VERSION",
@@ -85,11 +86,6 @@ class CodeRangeError(DecodeError):
 
 def _payload_bytes(length: int, bit_width: int) -> int:
     return (length * bit_width + 7) // 8
-
-
-def _code_dtype(bit_width: int) -> np.dtype:
-    """The narrowest little-endian unsigned type that holds the codes."""
-    return np.dtype("<u1" if bit_width <= 8 else "<u2" if bit_width <= 16 else "<u4")
 
 
 def _pack_rows(codes: np.ndarray, bit_width: int) -> np.ndarray:
@@ -253,6 +249,7 @@ def message_size_bits(blocks: list[QuantizedBlock]) -> int:
     return HEADER_BITS + sum(_block_bits(b.length, b.bit_width) for b in blocks)
 
 
+@functools.lru_cache(maxsize=1024)
 def segment_size_bits(length: int, bucket_size: int, bit_width: int) -> int:
     """Exact encoded size in bits of the segment `quantize_segment` makes of
     `length` values: message_size_bits of its blocks, without building them."""

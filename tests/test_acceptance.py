@@ -18,7 +18,7 @@ from qsdp.optimizer import (
     run,
 )
 from qsdp.problems import quadratic_problem
-from qsdp.quantize import BucketSpec, dequantize, qshift_quantize
+from qsdp.quantize import BucketSpec, dequantize, flip_round, qshift_quantize, shift_round
 from qsdp.experiments import learned_vs_uniform_error
 from qsdp.sharded import (
     NetworkModel,
@@ -42,6 +42,9 @@ def _report(num, name, passed, detail, elapsed, limit):
 
 
 def test_criterion_1_quantizer_identities():
+    """The identities hold for the rounding kernels that every quantizer, the
+    codec and the optimizer's lattice snap run: `shift_round` (random shift)
+    and `flip_round` (coin flip)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024_01)
     n = 10**6
@@ -54,7 +57,7 @@ def test_criterion_1_quantizer_identities():
         xs = delta * (ks + zs)
         for x, z in zip(xs, zs):
             rs = rng.uniform(-delta / 2, delta / 2, n)
-            lattice = delta * np.round((x - rs) / delta)
+            lattice = delta * shift_round(x, rs, delta)
             mean_tol = 4 * delta / (2 * math.sqrt(n))
             err = abs(float((lattice + rs).mean()) - x)
             worst_mean = max(worst_mean, err / mean_tol)
@@ -64,9 +67,9 @@ def test_criterion_1_quantizer_identities():
             worst_var = max(worst_var, var_rel / 0.01)
             assert var_rel <= 0.01
             # coin-flip quantizer obeys the same identities
-            low = delta * math.floor(x / delta)
-            flips = low + delta * (rng.random(n) < z)
+            flips = delta * flip_round(np.full(n, x / delta), rng.random(n))
             err_f = abs(float(flips.mean()) - x)
+            worst_mean = max(worst_mean, err_f / mean_tol)
             assert err_f <= mean_tol
             var_rel_f = abs(float(((flips - x) ** 2).mean()) - true_var) / true_var
             worst_var = max(worst_var, var_rel_f / 0.01)
@@ -80,7 +83,7 @@ def test_criterion_1_quantizer_identities():
             bound = float(np.abs(v).sum() / delta)
             shifts = sp_rng.uniform(-delta / 2, delta / 2, 3000)
             counts = np.count_nonzero(
-                np.round((v[None, :] - shifts[:, None]) / delta), axis=1
+                shift_round(v[None, :], shifts[:, None], delta), axis=1
             )
             se = counts.std(ddof=1) / math.sqrt(counts.size)
             assert counts.mean() <= bound + 3 * se

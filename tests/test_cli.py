@@ -259,7 +259,7 @@ SHIPPED_DIGESTS = {
     "converge.json": "5dc161b7f8bacbb287c7b38e905b4a08b468a310bf0fa1d4adf867faf1b5f82e",
     "learn-levels.json": "92c58adeb28fcd71b0d948275959567845bf7c0dc558f1f8d1d44d49501b9e8e",
     "quant-stats.json": "ecdebf2630aa14b721730e49f15b931223ddaad9f7e1602a82d9d526a8dd4ba6",
-    "train-sim.json": "2742f0803ab86890e617d5417681ea2caedf8e7ae7348ccbcd23ae05dda5f5cc",
+    "train-sim.json": "36a38d44a128de3abff039adaa3f9c759c919446d5105958bb413d27dd12d711",
 }
 SHIPPED = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -362,6 +362,9 @@ EXTREME = {
     ),
     "learn-levels-learning_rate": ("learn-levels", {"learning_rate": 1e300}, "learning_rate"),
     "converge-sigma": ("converge", {"sigma": 1e300}, "sigma"),  # sigma**2 overflows
+    "converge-sigma-T": ("converge", {"sigma": 1e100}, "sigma"),  # T ~ 1e203
+    "converge-sigma-plan": ("converge", {"sigma": 1e154}, "sigma"),  # eta subnormal
+    "converge-linear": ("converge", {"linear": [1e300, 0.0]}, "linear"),  # f* is nan
     "converge-diagonal-huge": (
         "converge", {"diagonal": [1e300, 1.0, 2.0, 4.0], "x0": [1.0] * 4}, "diagonal"
     ),

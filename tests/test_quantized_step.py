@@ -42,9 +42,8 @@ def _oracle_quantizer(g, bucket_size, bit_width, rng):
         lo, hi = float(np.float32(seg.min())), float(np.float32(seg.max()))
         codes = np.zeros(seg.size)
         if lo != hi:
-            scaled = np.clip((seg - lo) / (hi - lo), 0.0, 1.0) * top
-            low = np.floor(scaled)
-            codes = low + (rng.random(seg.size) < scaled - low)
+            scaled = (seg - lo) * (top / (hi - lo))
+            codes = np.clip(np.floor(scaled + rng.random(seg.size)), 0, top)
         values.append(lo + codes.astype(np.uint32) * ((hi - lo) / top) + 0.0)
         bits += 12 * 8 + 8 * ((seg.size * bit_width + 7) // 8)
     return np.concatenate(values), bits
@@ -138,6 +137,18 @@ def test_quantizers_leave_their_input_unchanged():
     UniformStochasticGradientQuantizer(4)(g, rng)
     assert u.tobytes() == u0.tobytes()
     assert g.tobytes() == g0.tobytes()
+
+
+def test_quantizer_takes_any_array_as_a_flat_float64_gradient():
+    g = np.random.default_rng(4).standard_normal(12).astype(np.float32)
+    quantizer = UniformStochasticGradientQuantizer(4, BucketSpec(5))
+    want = quantizer(g.astype(float), np.random.default_rng(0))
+    for arg in (g, g.reshape(3, 4), g.tolist()):
+        ghat, nbits = quantizer(arg, np.random.default_rng(0))
+        assert ghat.tobytes() == want[0].tobytes()
+        assert nbits == want[1]
+    with pytest.raises(ValueError, match="empty"):
+        quantizer(np.zeros(0), np.random.default_rng(0))
 
 
 # -- the variance budget --------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qsdp.quantize import (
     BucketSpec,
     QuantizedBlock,
+    _roundtrip,
     bucketed_quantize,
     dequantize,
     dequantize_segment,
@@ -23,6 +24,7 @@ from qsdp.quantize import (
     qshift_quantize,
     quantize_bucket,
     quantize_segment,
+    uniform_stochastic_quantize,
 )
 from qsdp.wire import (
     DecodeError,
@@ -45,19 +47,15 @@ def _oracle_bucket(values, bit_width, inner, rng):
     hi = float(np.float32(values.max()))
     if lo == hi:
         return np.zeros(values.size, dtype=np.uint32), 0.0, lo, hi
-    u = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
     top = (1 << bit_width) - 1
-    pitch = 1.0 / top
+    scaled = (values - lo) * (top / (hi - lo))
     shift = 0.0
     if inner == "shift":
-        r = float(rng.uniform(-pitch / 2, pitch / 2))
-        codes = np.clip(np.round((u - r) / pitch), 0, top)
-        shift = float(np.float32(r * (hi - lo)))
+        r = float(rng.uniform(-0.5, 0.5))
+        codes = np.clip(np.round(scaled - r), 0, top)
+        shift = float(np.float32(r * (hi - lo) / top))
     else:
-        scaled = u * top
-        low = np.floor(scaled)
-        frac = scaled - low
-        codes = np.clip(low + (rng.random(u.size) < frac), 0, top)
+        codes = np.clip(np.floor(scaled + rng.random(values.size)), 0, top)
     return codes.astype(np.uint32), shift, lo, hi
 
 
@@ -147,30 +145,78 @@ def _lattice_indices(block, resolution):
 def test_one_bucket_codes_are_the_paper_quantizers_on_the_normalized_bucket(
     n, bits, scale, seed
 ):
-    """With a bucket normalized to u on [0, 1] and top = 2**bits - 1, shift mode
-    gives clip(k, 0, top) for the lattice indices k of qshift_quantize(u, 1/top)
-    at the codec's own shift, and uniform_stochastic mode gives the lattice
-    indices of qflip_quantize(u * top, 1.0), each drawing from a copy of the
-    codec's generator."""
+    """With a bucket scaled to a = (v - lo) * (top / span), top = 2**bits - 1,
+    shift mode gives clip(k, 0, top) for the lattice indices k of
+    qshift_quantize(a, 1) at the codec's own shift r, sent as r * span / top,
+    and uniform_stochastic mode gives clip(k, 0, top) for those of
+    qflip_quantize(a, 1), each drawing from a copy of the codec's generator."""
     v = np.random.default_rng(seed).standard_normal(n) * scale
     lo, hi = float(np.float32(v.min())), float(np.float32(v.max()))
     assume(lo != hi)
-    u = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
     top = (1 << bits) - 1
-    pitch = 1 / top
+    a = (v - lo) * (top / (hi - lo))
 
     rng = np.random.default_rng(seed + 1)
     copy = np.random.default_rng(seed + 1)
-    r = copy.uniform(-pitch / 2, pitch / 2)
-    k = _lattice_indices(qshift_quantize(u, pitch, copy, shift=r), pitch)
+    r = copy.uniform(-0.5, 0.5)
+    k = _lattice_indices(qshift_quantize(a, 1.0, copy, shift=r), 1.0)
     seg = quantize_segment(v, n, bits, "shift", rng)
     assert np.array_equal(seg.rows[0], np.clip(k, 0, top))
-    assert seg.shift[0] == float(np.float32(r * (hi - lo)))
+    assert seg.shift[0] == float(np.float32(r * (hi - lo) / top))
 
     seg = quantize_segment(v, n, bits, "uniform_stochastic", rng)
-    k = _lattice_indices(qflip_quantize(u * top, 1.0, copy), 1.0)
-    assert np.array_equal(seg.rows[0], k)
+    k = _lattice_indices(qflip_quantize(a, 1.0, copy), 1.0)
+    assert np.array_equal(seg.rows[0], np.clip(k, 0, top))
     assert rng.bit_generator.state == copy.bit_generator.state
+
+
+class _FixedDraws:
+    """A generator stand-in: every `random` draw is `u`, and `uniform` maps
+    `u` onto its interval as numpy does."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+    def uniform(self, low, high, size=None):
+        r = low + (high - low) * self.u
+        return r if size is None else np.full(size, r)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 16])
+@pytest.mark.parametrize("inner", INNERS)
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+def test_codes_stay_in_range_at_the_ends_of_the_grid(bits, inner, u):
+    """Rounding can step past the grid: floor(top + u) is top + 1 once the
+    sum rounds up, a shift r = -1/2 ties top + 1/2 up to top + 1, and a value
+    below its float32-rounded minimum scales to a < 0, which floor(a + 0)
+    and rint(a - r) at r near 1/2 take to -1.  The codes must be the
+    oracle's, clipped to [0, top] before any cast could wrap them."""
+    top = (1 << bits) - 1
+    # lo = 0 and span = 1, so the ends scale to a = 0 and a = top exactly;
+    # float32(0.1) > 0.1, so 0.1 scales to a just below 0
+    for v in ([0.0, 0.5, 1.0], [0.1, 1.1]):
+        want, *_ = _oracle_bucket(np.array(v), bits, inner, _FixedDraws(u))
+        seg = quantize_segment(v, len(v), bits, inner, _FixedDraws(u))
+        assert seg.rows[0].tolist() == want.tolist()
+        assert seg.rows[0, 0] == 0
+    assert seg.scale_lo[0] > 0.1
+    codes = uniform_stochastic_quantize([0.0, 1.0], bits, _FixedDraws(u))
+    assert codes.tolist() == [0, top]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_messages())
+def test_roundtrip_is_dequantize_of_quantize_segment(message):
+    v, bucket, bits, inner, seed = message
+    rng = np.random.default_rng(seed)
+    got = _roundtrip(v, bucket, bits, inner, rng)
+    ref_rng = np.random.default_rng(seed)
+    want = dequantize_segment(quantize_segment(v, bucket, bits, inner, ref_rng))
+    assert _same_bits(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_codec_has_two_inner_modes_and_decodes_from_the_bytes_alone():
