@@ -277,6 +277,28 @@ def _reject_untransportable(v: np.ndarray) -> None:
     )
 
 
+def _bucket_ends(x, v):
+    """Float32-rounded minimum and maximum of each row of `x`, a 2-D view of
+    segment `v`, as float64 arrays; raises for the first value of `v` that
+    the float32 metadata cannot carry (NaN too), before anything is drawn."""
+    ends = np.empty((2, x.shape[0]))
+    np.minimum.reduce(x, axis=1, out=ends[0])
+    np.maximum.reduce(x, axis=1, out=ends[1])
+    if np.count_nonzero(np.abs(ends) < _F32_OVERFLOW) < ends.size:  # NaN too
+        _reject_untransportable(v)
+    ends = ends.astype(np.float32).astype(np.float64)
+    return ends[0], ends[1]
+
+
+def _draw(y, span, inner, rng):
+    """The draws `_code` takes for `y`, from `rng`: one r ~ U[-1/2, 1/2) per
+    bucket, shaped as `span` (shift), or one u ~ U[0, 1) per value, shaped as
+    `y` (uniform_stochastic)."""
+    if inner == "shift":
+        return rng.uniform(-0.5, 0.5, size=np.shape(span))
+    return rng.random(y.shape)
+
+
 def _quantize_rows(x, v, bit_width, inner, rng):
     """Quantize each row of `x`, a 2-D view of segment `v`, as one bucket.
 
@@ -284,13 +306,7 @@ def _quantize_rows(x, v, bit_width, inner, rng):
     exactly as quantizing them one after another would.
     Returns (codes, shift, scale_lo, scale_hi).
     """
-    ends = np.empty((2, x.shape[0]))
-    np.minimum.reduce(x, axis=1, out=ends[0])
-    np.maximum.reduce(x, axis=1, out=ends[1])
-    if np.count_nonzero(np.abs(ends) < _F32_OVERFLOW) < ends.size:  # NaN too
-        _reject_untransportable(v)
-    ends = ends.astype(np.float32).astype(np.float64)
-    lo, hi = ends[0], ends[1]
+    lo, hi = _bucket_ends(x, v)
     live = lo != hi  # degenerate rows keep all-zero codes and no shift
     n_live = np.count_nonzero(live)
     if not n_live:
@@ -299,7 +315,8 @@ def _quantize_rows(x, v, bit_width, inner, rng):
         y, l, h = x, lo, hi
     else:
         y, l, h = x[live], lo[live], hi[live]
-    q, shift = _code(y, l[:, None], (h - l)[:, None], bit_width, inner, rng)
+    span = (h - l)[:, None]
+    q, shift = _code(y, l[:, None], span, bit_width, inner, _draw(y, span, inner, rng))
     shift = np.ravel(shift) if inner == "shift" else np.zeros(n_live)
     if n_live == live.size:
         return q, shift, lo, hi
@@ -323,7 +340,8 @@ def _quantize_row(row, v, bit_width, inner, rng):
     lo, hi = float(np.float32(lo)), float(np.float32(hi))
     if lo == hi:  # degenerate: all-zero codes, no shift and no draw
         return np.zeros(row.size), 0.0, lo, hi
-    codes, shift = _code(row, lo, hi - lo, bit_width, inner, rng)
+    span = hi - lo
+    codes, shift = _code(row, lo, span, bit_width, inner, _draw(row, span, inner, rng))
     return codes, float(shift), lo, hi
 
 
@@ -332,26 +350,27 @@ def _code_dtype(bit_width: int) -> np.dtype:
     return np.dtype("<u1" if bit_width <= 8 else "<u2" if bit_width <= 16 else "<u4")
 
 
-def _code(y, lo, span, bit_width, inner, rng):
+def _code(y, lo, span, bit_width, inner, draws):
     """Codes of `y` in buckets spanning [lo, lo + span], span > 0.
 
-    `lo` and `span` are floats for one bucket, or (buckets, 1) columns for
-    the rows of a 2-D `y`.  a = (y - lo) * top / span rounds at resolution 1
-    to rint(a - r), one r ~ U[-1/2, 1/2) per bucket in order (shift), or to
-    floor(a + u), one u ~ U[0, 1) per value (uniform_stochastic), then clips to
-    [0, top].  Returns (float64 codes, shift): shift = r * span / top,
-    float32-exact and shaped as `span`, or 0.0 for uniform_stochastic.
+    `lo` and `span` are floats for one bucket, or columns that broadcast
+    against `y`, one entry per bucket (rows of a 2-D or 3-D `y`).
+    a = (y - lo) * top / span rounds at resolution 1 to rint(a - r), with
+    the caller's `draws` r ~ U[-1/2, 1/2) shaped as `span` (shift), or to
+    floor(a + u), with `draws` u ~ U[0, 1) shaped as `y`
+    (uniform_stochastic), then clips to [0, top].  Returns (float64 codes,
+    shift): shift = r * span / top, float32-exact and shaped as `span`, or
+    0.0 for uniform_stochastic.
     """
     top = (1 << bit_width) - 1
     a = y - lo
     a *= top / span
     if inner == "shift":
-        r = rng.uniform(-0.5, 0.5, size=np.shape(span))
-        shift = (r * span / top).astype(np.float32).astype(np.float64)
-        shift_round(a, r, 1, out=a)
+        shift = (draws * span / top).astype(np.float32).astype(np.float64)
+        shift_round(a, draws, 1, out=a)
     else:
         shift = 0.0
-        flip_round(a, rng.random(a.shape))
+        flip_round(a, draws)
     np.maximum(a, 0.0, out=a)  # np.clip without its per-call overhead
     return np.minimum(a, top, out=a), shift
 
@@ -429,6 +448,40 @@ def _roundtrip(v, bucket_size, bit_width, inner, rng):
         return out
     tail = _values(*_quantize_row(v[k * size :], v, bit_width, inner, rng), bit_width)
     return np.concatenate((out, tail))
+
+
+def _roundtrip_draws(v, count, bucket_size, bit_width, rng):
+    """`count` successive `_roundtrip(v, bucket_size, bit_width,
+    "uniform_stochastic", rng)` results as the rows of one (count, v.size)
+    array, bit for bit and draw for draw.
+
+    Every call sees the same buckets, so each draws one uniform per value
+    of its live buckets, bucket by bucket and the tail last, and a
+    degenerate bucket draws nothing; rng.random((count, m)) yields the m
+    draws of all `count` calls in that order.  Untransportable values raise
+    before anything is drawn.
+    """
+    size = min(bucket_size, v.size)
+    k = v.size // size
+    buckets = [v[: k * size].reshape(k, size)]
+    if v.size > k * size:
+        buckets.append(v[k * size :][None])
+    ends = [_bucket_ends(x, v) for x in buckets]
+    live = [lo != hi for lo, hi in ends]
+    widths = [np.count_nonzero(l) * x.shape[1] for x, l in zip(buckets, live)]
+    u = rng.random((count, sum(widths)))
+    out, col = [], 0
+    for x, (lo, hi), l, width in zip(buckets, ends, live, widths):
+        codes = np.zeros((count, *x.shape))
+        if width:
+            y = np.broadcast_to(x[l], (count, width // x.shape[1], x.shape[1]))
+            draws = u[:, col : col + width].reshape(y.shape)
+            span = (hi[l] - lo[l])[:, None]
+            codes[:, l], _ = _code(y, lo[l][:, None], span, bit_width,
+                                   "uniform_stochastic", draws)
+            col += width
+        out.append(_values(codes, 0.0, lo[:, None], hi[:, None], bit_width))
+    return np.concatenate([o.reshape(count, -1) for o in out], axis=1)
 
 
 def _values(codes, shift, lo, hi, bit_width):

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qsdp import lattice_oracle
 from qsdp.lattice_oracle import (
     benchmark_expectation,
     brute_force_lattice_min,
@@ -48,7 +52,56 @@ class TestBruteForce:
             brute_force_lattice_min(p, 0.5, 0.0, mode="exhaustive")
 
 
+def _one_shot_benchmark(problem, delta_star, num_r_samples, rng):
+    """The benchmark as one (samples, n) array computation: all shifts drawn
+    at once, both lattice neighbours of every coordinate, the smaller term."""
+    rs = rng.uniform(-delta_star / 2, delta_star / 2, num_r_samples)
+    a, b = np.diag(problem.matrix), problem.linear
+    k_lo = np.floor((b / a - rs[:, None]) / delta_star)
+    x_lo, x_hi = (k * delta_star + rs[:, None] for k in (k_lo, k_lo + 1.0))
+    f_lo, f_hi = (0.5 * a * x**2 - b * x for x in (x_lo, x_hi))
+    f = np.minimum(f_lo, f_hi).sum(axis=-1)
+    se = float(f.std(ddof=1) / math.sqrt(f.size)) if f.size > 1 else 0.0
+    return float(f.mean()), se
+
+
+_ORACLE_PROBLEMS = {
+    "diagonal-linear": lambda: quadratic_problem(
+        np.diag([1.0, 1.0, 2.0, 4.0]), np.array([0.3, -1.2, 0.0, 2.5])
+    ),
+    "parabola": lambda: quadratic_problem(np.eye(1)),
+}
+
+
 class TestBenchmark:
+    @pytest.mark.parametrize("name", sorted(_ORACLE_PROBLEMS))
+    @pytest.mark.parametrize(
+        "chunks", [0.0, 0.5, 2.0, 2.25], ids=["one", "below", "multiple", "ragged"]
+    )
+    def test_chunks_match_the_one_shot_formula(self, name, chunks):
+        p = _ORACLE_PROBLEMS[name]()
+        step = lattice_oracle._CHUNK_VALUES // p.dimension
+        samples = max(1, int(chunks * step))
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        est = benchmark_expectation(p, 0.3, samples, rng)
+        mean, se = _one_shot_benchmark(p, 0.3, samples, ref_rng)
+        assert est.mean.hex() == mean.hex()
+        assert est.standard_error.hex() == se.hex()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_memory_stays_below_one_samples_by_n_array(self):
+        p = quadratic_problem(np.diag([1.0, 1.0, 2.0, 4.0]))
+        samples = 10**6
+        tracemalloc.start()
+        try:
+            benchmark_expectation(p, 0.25, samples, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # f and its std's temporary take two (samples,) vectors, 16 MB; one
+        # (samples, 4) float64 array takes 32 MB
+        assert peak < 0.75 * samples * p.dimension * 8
+
     def test_fine_grid_limit_reaches_optimum(self):
         p = quadratic_problem(np.diag([1.0, 2.0]))
         est = benchmark_expectation(p, 1e-3, 2000, np.random.default_rng(0))

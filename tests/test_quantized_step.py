@@ -23,6 +23,7 @@ from qsdp.optimizer import (
 from qsdp.problems import quadratic_problem
 from qsdp.quantize import (
     BucketSpec,
+    _roundtrip_draws,
     bucketed_quantize,
     dequantize,
     quantize_segment,
@@ -118,6 +119,18 @@ def test_quantizer_matches_the_per_bucket_path(case):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@settings(max_examples=100, deadline=None)
+@given(_gradients(), st.integers(1, 5))
+def test_draws_as_rows_are_sequential_quantizer_calls(case, count):
+    g, bucket, bits, seed = case
+    quantizer = UniformStochasticGradientQuantizer(bits, BucketSpec(bucket))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _roundtrip_draws(g, count, bucket, bits, rng)
+    want = np.stack([quantizer(g, ref_rng)[0] for _ in range(count)])
+    assert rows.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("bits", [0, 17])
 def test_quantizer_rejects_bit_widths_outside_1_to_16(bits):
     with pytest.raises(ValueError, match=r"\[1, 16\]"):
@@ -154,23 +167,69 @@ def test_quantizer_takes_any_array_as_a_flat_float64_gradient():
 # -- the variance budget --------------------------------------------------------
 
 
+def _first_bucket_constant(rng):
+    g = rng.standard_normal(13)
+    g[:5] = 0.75
+    return g
+
+
+# pilot kind -> three pilot gradients from the pilot generator
+_PILOTS = {
+    "constant": lambda rng: [np.full(9, 0.25), np.zeros(4), np.full(3, -1.5)],
+    "first-bucket-constant": lambda rng: [_first_bucket_constant(rng) for _ in range(3)],
+    # 4 full buckets of 48 and a tail of 8; 128 draws of it take two chunks
+    "full-buckets-and-tail": lambda rng: [rng.standard_normal(200) for _ in range(3)],
+}
+
+
 @pytest.mark.parametrize(
-    "seed,bits,bucket_size", [(0, 4, 1024), (1, 1, 1024), (2, 8, 3), (3, 16, 2)]
+    "seed,bits,bucket_size,pilot_kind,draws",
+    [
+        pytest.param(0, 4, 1024, None, 128, id="0-4-1024"),
+        pytest.param(1, 1, 1024, None, 128, id="1-1-1024"),
+        pytest.param(2, 8, 3, None, 128, id="2-8-3"),
+        pytest.param(3, 16, 2, None, 128, id="3-16-2"),
+        pytest.param(4, 4, 4, "constant", 128, id="constant-pilot"),
+        pytest.param(5, 3, 5, "first-bucket-constant", 64, id="first-bucket-constant"),
+        pytest.param(6, 8, 48, "full-buckets-and-tail", 128, id="full-buckets-and-tail"),
+        pytest.param(7, 4, 1024, None, 2, id="two-draws"),
+    ],
 )
-def test_variance_budget_is_pinned_to_the_block_path(seed, bits, bucket_size):
+def test_variance_budget_is_pinned_to_the_block_path(
+    seed, bits, bucket_size, pilot_kind, draws
+):
     problem = quadratic_problem(np.diag([1.0, 1.0, 2.0, 4.0]), sigma=0.2)
     pilot_rng = np.random.default_rng((seed, 99))
-    pilot = [problem.stochastic_gradient(np.ones(4), pilot_rng) for _ in range(16)]
+    if pilot_kind is None:
+        pilot = [problem.stochastic_gradient(np.ones(4), pilot_rng) for _ in range(16)]
+    else:
+        pilot = _PILOTS[pilot_kind](pilot_rng)
     state = pilot_rng.bit_generator.state
     bucket = BucketSpec(bucket_size)
-    budget = gradient_quantizer_variance_budget(bits, bucket, pilot, pilot_rng, draws=128)
+    budget = gradient_quantizer_variance_budget(bits, bucket, pilot, pilot_rng, draws=draws)
     ref_rng = np.random.default_rng()
     ref_rng.bit_generator.state = state
-    sigma_sq, means, ses = _block_path_budget(bits, bucket, pilot, ref_rng, 128)
+    sigma_sq, means, ses = _block_path_budget(bits, bucket, pilot, ref_rng, draws)
     assert budget.sigma_nabla_sq.hex() == sigma_sq.hex()
     assert budget.per_sample_mean.tobytes() == means.tobytes()
     assert budget.per_sample_se.tobytes() == ses.tobytes()
     assert pilot_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("where", [0, 9])  # the first bucket, the tail
+def test_variance_budget_rejects_a_nan_pilot_before_drawing(where):
+    g = np.random.default_rng(9).standard_normal(10)
+    g[where] = np.nan
+    rng = np.random.default_rng(10)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"non-finite bucket value at index {where}: .*nan"):
+        gradient_quantizer_variance_budget(4, BucketSpec(4), [g], rng)
+    assert rng.bit_generator.state == state
+
+
+def test_variance_budget_rejects_an_empty_sample_list():
+    with pytest.raises(ValueError, match="sample_gradients"):
+        gradient_quantizer_variance_budget(4, BucketSpec(), [], np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bits", [0, 17])
