@@ -11,7 +11,7 @@ import numpy as np
 
 from .optimizer import UniformStochasticGradientQuantizer
 from .problems import ProblemSpec
-from .quantize import BucketSpec, _roundtrip_draws
+from .quantize import BucketSpec, _groups, _roundtrip_draws
 
 # The block-list codec stays bound here for code that looks it up on this
 # module (perfbench/tracing.py).
@@ -208,11 +208,11 @@ def gradient_quantizer_variance_budget(
         means.append(errs.mean())
         ses.append(errs.std(ddof=1) / math.sqrt(draws))
         bound = 0.0
-        for start in range(0, g.size, size):
-            seg = g[start : start + size]
-            span = seg.max() - seg.min()
-            pitch = span / ((1 << bits) - 1)
-            bound += pitch * np.abs(seg).sum()
+        for group in _groups(g, size):  # the quantizer's buckets, in order
+            for seg in np.atleast_2d(group):
+                span = seg.max() - seg.min()
+                pitch = span / ((1 << bits) - 1)
+                bound += pitch * np.abs(seg).sum()
         analytic = max(analytic, bound)
     means = np.asarray(means)
     ses = np.asarray(ses)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import ProblemSpec
-from .quantize import BucketSpec, _roundtrip, sample_shift, shift_round
+from .quantize import BucketSpec, _all_finite, _roundtrip, sample_shift, shift_round
 from .wire import segment_size_bits
 
 # The block-list codec stays bound here for code that looks it up on this
@@ -198,11 +198,6 @@ class UniformStochasticGradientQuantizer:
             raise ValueError("cannot quantize an empty vector")
         g_hat = _roundtrip(g, size, bits, "uniform_stochastic", rng)
         return g_hat, segment_size_bits(g.size, size, bits)
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    # a finite sum has finite terms; scan only when the sum is not finite
-    return math.isfinite(np.add.reduce(a)) or bool(np.isfinite(a).all())
 
 
 def _step(x, problem, plan, rng, gradient_quantizer, shift):

@@ -44,12 +44,16 @@ __all__ = [
 INNER_MODES = ("shift", "uniform_stochastic")
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every value of the float array `v` is finite."""
+    # a finite sum has finite terms; scan only when the sum is not finite
+    return math.isfinite(np.add.reduce(v, None)) or bool(np.isfinite(v).all())
+
+
 def _check_finite(v: np.ndarray, what: str = "value") -> None:
-    if math.isfinite(np.add.reduce(v, axis=None)):  # a finite sum has finite terms
-        return
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise ValueError(f"non-finite {what} at index {bad[0]}: {v[bad[0]]!r}")
+    if not _all_finite(v):
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"non-finite {what} at index {i}: {float(v.flat[i])}")
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ def dequantize(block: QuantizedBlock) -> np.ndarray:
         raise ValueError(
             f"corrupted code >= 2**{block.bit_width} cannot be decoded"
         )
-    return _values(codes, block.shift, block.scale_lo, block.scale_hi, block.bit_width)
+    return _values([(codes, block.shift, block.scale_lo, block.scale_hi)], block.bit_width)
 
 
 class Segment(NamedTuple):
@@ -261,8 +265,6 @@ class Segment(NamedTuple):
         ]
 
 
-_NO_TAIL = np.zeros(0, np.uint32)  # the tail of a segment whose buckets are all full
-
 # Values at or beyond this magnitude round to an infinite float32.
 _F32_OVERFLOW = 2.0**128 - 2.0**103
 
@@ -272,77 +274,74 @@ def _reject_untransportable(v: np.ndarray) -> None:
     _check_finite(v, "bucket value")
     i = int(np.flatnonzero(np.abs(v) >= _F32_OVERFLOW)[0])
     raise ValueError(
-        f"bucket value at index {i}: {v[i]!r} is beyond the float32 range of "
+        f"bucket value at index {i}: {float(v[i])} is beyond the float32 range of "
         "the scale metadata"
     )
 
 
-def _bucket_ends(x, v):
-    """Float32-rounded minimum and maximum of each row of `x`, a 2-D view of
-    segment `v`, as float64 arrays; raises for the first value of `v` that
-    the float32 metadata cannot carry (NaN too), before anything is drawn."""
+def _layout(length: int, bucket_size: int) -> tuple[int, int, int]:
+    """Wire v1's buckets of `length` values as (size, k, tail): k full buckets
+    of `size` values, then a shorter tail of `tail` values (0 for none)."""
+    size = min(bucket_size, length) or 1  # a shorter message is one full bucket
+    return (size, *divmod(length, size))
+
+
+def _groups(v, bucket_size):
+    """The buckets of the 1-D array `v` as one or two groups: the full ones,
+    as rows of a 2-D view (a 1-D view if there is one), then any tail."""
+    size, k, tail = _layout(v.size, bucket_size)
+    full = v[: k * size].reshape(k, size) if k > 1 else v[:size]
+    return (full, v[k * size :]) if tail else (full,)
+
+
+def _ends(x, v):
+    """Float32-rounded (lo, hi) of each bucket of the group `x` of `v`, floats
+    for a 1-D `x` (cheap for the many one-bucket messages), else one entry
+    per row, and the number of live (lo < hi) buckets.  Raises for the
+    first value of `v` that float32 metadata cannot carry (NaN too)."""
+    if x.ndim == 1:
+        lo, hi = np.minimum.reduce(x), np.maximum.reduce(x)
+        if not (-_F32_OVERFLOW < lo and hi < _F32_OVERFLOW):  # NaN too
+            _reject_untransportable(v)
+        lo, hi = np.array((lo, hi), np.float32).tolist()
+        return lo, hi, int(lo != hi)
     ends = np.empty((2, x.shape[0]))
     np.minimum.reduce(x, axis=1, out=ends[0])
     np.maximum.reduce(x, axis=1, out=ends[1])
     if np.count_nonzero(np.abs(ends) < _F32_OVERFLOW) < ends.size:  # NaN too
         _reject_untransportable(v)
-    ends = ends.astype(np.float32).astype(np.float64)
-    return ends[0], ends[1]
+    lo, hi = ends.astype(np.float32).astype(np.float64)
+    return lo, hi, np.count_nonzero(lo != hi)
 
 
-def _draw(y, span, inner, rng):
-    """The draws `_code` takes for `y`, from `rng`: one r ~ U[-1/2, 1/2) per
-    bucket, shaped as `span` (shift), or one u ~ U[0, 1) per value, shaped as
-    `y` (uniform_stochastic)."""
-    if inner == "shift":
-        return rng.uniform(-0.5, 0.5, size=np.shape(span))
-    return rng.random(y.shape)
+def _quantize_pass(v, bucket_size, bit_width, inner, rng, count=None):
+    """`_code` of each group of the non-empty 1-D float array `v`, quantized
+    as one message.
 
-
-def _quantize_rows(x, v, bit_width, inner, rng):
-    """Quantize each row of `x`, a 2-D view of segment `v`, as one bucket.
-
-    Rows take draws from `rng` in order, and only non-degenerate rows draw,
-    exactly as quantizing them one after another would.
-    Returns (codes, shift, scale_lo, scale_hi).
+    Every value is checked before anything is drawn.  One call then draws
+    for the live buckets in order, one r ~ U[-1/2, 1/2) per bucket (shift)
+    or one u ~ U[0, 1) per value (uniform_stochastic), which equals drawing
+    bucket by bucket; a degenerate bucket draws nothing.  `count`
+    (uniform_stochastic only) leads the draws with as many realizations.
     """
-    lo, hi = _bucket_ends(x, v)
-    live = lo != hi  # degenerate rows keep all-zero codes and no shift
-    n_live = np.count_nonzero(live)
-    if not n_live:
-        return np.zeros(x.shape), np.zeros(x.shape[0]), lo, hi
-    if n_live == live.size:
-        y, l, h = x, lo, hi
-    else:
-        y, l, h = x[live], lo[live], hi[live]
-    span = (h - l)[:, None]
-    q, shift = _code(y, l[:, None], span, bit_width, inner, _draw(y, span, inner, rng))
-    shift = np.ravel(shift) if inner == "shift" else np.zeros(n_live)
-    if n_live == live.size:
-        return q, shift, lo, hi
-    codes = np.zeros(x.shape)
-    codes[live] = q
-    shifts = np.zeros(x.shape[0])
-    shifts[live] = shift
-    return codes, shifts, lo, hi
-
-
-def _quantize_row(row, v, bit_width, inner, rng):
-    """Quantize `row`, a 1-D view of segment `v`, as one bucket.
-
-    The arithmetic of _quantize_rows with Python-float metadata, which
-    keeps the many one-bucket messages of small vectors cheap.
-    Returns (codes, shift, scale_lo, scale_hi).
-    """
-    lo, hi = np.minimum.reduce(row), np.maximum.reduce(row)
-    if not (-_F32_OVERFLOW < lo and hi < _F32_OVERFLOW):  # NaN too
-        _reject_untransportable(v)
-    lo, hi = float(np.float32(lo)), float(np.float32(hi))
-    if lo == hi:  # degenerate: all-zero codes, no shift and no draw
-        return np.zeros(row.size), 0.0, lo, hi
-    span = hi - lo
-    codes, shift = _code(row, lo, span, bit_width, inner, _draw(row, span, inner, rng))
-    return codes, float(shift), lo, hi
+    per_value = inner != "shift"
+    # a message no longer than a bucket is one bucket: nothing to split
+    groups = (v,) if v.size <= bucket_size else _groups(v, bucket_size)
+    x = groups[0]
+    lo, hi, live = _ends(x, v)
+    m = split = live * x.shape[-1] if per_value else live
+    if len(groups) > 1:  # the tail, checked before anything is drawn too
+        tail = groups[1]
+        tail_lo, tail_hi, tail_live = _ends(tail, v)
+        m += tail_live * tail.size if per_value else tail_live
+    shape = m if count is None else (count, m)
+    draws = rng.random(shape) if per_value else rng.uniform(-0.5, 0.5, shape)
+    if len(groups) == 1:
+        return (_code(x, lo, hi, live, draws, bit_width, inner),)
+    return (
+        _code(x, lo, hi, live, draws[..., :split], bit_width, inner),
+        _code(tail, tail_lo, tail_hi, tail_live, draws[..., split:], bit_width, inner),
+    )
 
 
 def _code_dtype(bit_width: int) -> np.dtype:
@@ -350,29 +349,50 @@ def _code_dtype(bit_width: int) -> np.dtype:
     return np.dtype("<u1" if bit_width <= 8 else "<u2" if bit_width <= 16 else "<u4")
 
 
-def _code(y, lo, span, bit_width, inner, draws):
-    """Codes of `y` in buckets spanning [lo, lo + span], span > 0.
+def _code(x, lo, hi, live, draws, bit_width, inner):
+    """(float64 codes, shift, lo, hi) of the group `x` from its `_ends` (lo,
+    hi and the `live` bucket count) and `draws`, as `_values` takes them.
 
-    `lo` and `span` are floats for one bucket, or columns that broadcast
-    against `y`, one entry per bucket (rows of a 2-D or 3-D `y`).
-    a = (y - lo) * top / span rounds at resolution 1 to rint(a - r), with
-    the caller's `draws` r ~ U[-1/2, 1/2) shaped as `span` (shift), or to
-    floor(a + u), with `draws` u ~ U[0, 1) shaped as `y`
-    (uniform_stochastic), then clips to [0, top].  Returns (float64 codes,
-    shift): shift = r * span / top, float32-exact and shaped as `span`, or
-    0.0 for uniform_stochastic.
+    A live bucket scales to a = (x - lo) * top / span and rounds to
+    rint(a - r) with its draw r (shift), or to floor(a + u) with a draw u
+    per value (uniform_stochastic), then clips to [0, top]; its shift is the
+    float32-exact r * span / top, or 0.  A degenerate bucket keeps all-zero
+    codes and a zero shift.
     """
+    if x.ndim == 1:
+        if not live:
+            return np.zeros((*draws.shape[:-1], x.size)), 0.0, lo, hi
+        y, l, span, d = x, lo, hi - lo, draws if inner != "shift" else draws[0]
+        if draws.ndim > 1:
+            y = np.broadcast_to(x, draws.shape)
+    else:
+        lead = draws.shape[:-1]
+        mask = None if live == len(x) else lo != hi  # all live: views, no scatter
+        y, l, h = (x, lo, hi) if mask is None else (x[mask], lo[mask], hi[mask])
+        l, span = l[:, None], (h - l)[:, None]
+        if lead:
+            y = np.broadcast_to(y, (*lead, *y.shape))
+        d = draws.reshape(span.shape if inner == "shift" else y.shape)
     top = (1 << bit_width) - 1
-    a = y - lo
+    a = y - l
     a *= top / span
     if inner == "shift":
-        shift = (draws * span / top).astype(np.float32).astype(np.float64)
-        shift_round(a, draws, 1, out=a)
+        shift = (d * span / top).astype(np.float32).astype(np.float64)
+        shift_round(a, d, 1, out=a)
     else:
         shift = 0.0
-        flip_round(a, draws)
+        flip_round(a, d)
     np.maximum(a, 0.0, out=a)  # np.clip without its per-call overhead
-    return np.minimum(a, top, out=a), shift
+    codes = np.minimum(a, top, out=a)
+    if x.ndim == 1:
+        return codes, float(shift), lo, hi
+    shift = shift[:, 0] if inner == "shift" else np.zeros(len(span))
+    if mask is not None:  # degenerate rows keep all-zero codes and shifts
+        codes, live_codes = np.zeros((*lead, *x.shape)), codes
+        codes[..., mask, :] = live_codes
+        shift, live_shift = np.zeros(len(x)), shift
+        shift[mask] = live_shift
+    return codes, shift, lo, hi
 
 
 def quantize_segment(
@@ -390,12 +410,11 @@ def quantize_segment(
     or "uniform_stochastic" (unbiased per-value rounding, for gradients).
     Either way the segment decodes from its own fields alone.  A degenerate
     bucket (all values equal) gets all-zero codes and decodes to the constant
-    exactly.  The buckets draw from `rng` in order, so the result equals
-    quantizing them one at a time from the same generator.
+    exactly.  Every value is checked before anything is drawn, and the
+    buckets draw from `rng` in order, so the result equals quantizing them
+    one at a time from the same generator.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        v = v.ravel()
+    v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("cannot quantize an empty vector")
     if inner not in INNER_MODES:
@@ -404,99 +423,64 @@ def quantize_segment(
         raise ValueError(f"bit_width must be in [1, 32], got {bit_width}")
     if bucket_size < 1:
         raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
-    size = min(bucket_size, v.size)
-    k, tail_len = divmod(v.size, size)
+    (codes, *meta), *tail = _quantize_pass(v, bucket_size, bit_width, inner, rng)
     dtype = _code_dtype(bit_width)  # the wire's, so encoding casts nothing
-    if k > 1:
-        rows = v[: k * size].reshape(k, size)
-        codes, shift, lo, hi = _quantize_rows(rows, v, bit_width, inner, rng)
-    else:
-        row, shift, lo, hi = _quantize_row(v[:size], v, bit_width, inner, rng)
-        codes, shift, lo, hi = row[None], np.array([shift]), np.array([lo]), np.array([hi])
-    if not tail_len:
-        return Segment(codes.astype(dtype), _NO_TAIL, shift, lo, hi, bit_width)
-    tail, *tail_meta = _quantize_row(v[k * size :], v, bit_width, inner, rng)
-    meta = [np.append(a, t) for a, t in zip((shift, lo, hi), tail_meta)]
-    return Segment(codes.astype(dtype), tail.astype(dtype), *meta, bit_width)
+    rows = codes.astype(dtype)
+    if rows.ndim == 1:  # one bucket, with float metadata
+        rows, meta = rows[None], [np.array([m]) for m in meta]
+    if not tail:
+        return Segment(rows, np.zeros(0, dtype), *meta, bit_width)
+    (codes, *tail_meta), = tail
+    meta = [np.append(m, t) for m, t in zip(meta, tail_meta)]
+    return Segment(rows, codes.astype(dtype), *meta, bit_width)
 
 
 def dequantize_segment(seg: Segment) -> np.ndarray:
     """Reconstruct every value of a segment, as `dequantize` does per block."""
-    k = seg.rows.shape[0]
-    if k == 1 and not seg.tail.size:  # one bucket, as a message no longer than it
-        meta = seg.shift.item(), seg.scale_lo.item(), seg.scale_hi.item()
-        return _values(seg.rows[0], *meta, seg.bit_width)
-    meta = seg.shift[:k, None], seg.scale_lo[:k, None], seg.scale_hi[:k, None]
-    out = _values(seg.rows, *meta, seg.bit_width).ravel()
-    if not seg.tail.size:
-        return out
-    meta = seg.shift[k].item(), seg.scale_lo[k].item(), seg.scale_hi[k].item()
-    return np.concatenate((out, _values(seg.tail, *meta, seg.bit_width)))
+    k, shift, lo, hi = seg.rows.shape[0], seg.shift, seg.scale_lo, seg.scale_hi
+    if k == 1:  # one bucket: float metadata, as `_code` gives it
+        groups = [(seg.rows[0], shift.item(0), lo.item(0), hi.item(0))]
+    elif seg.tail.size:
+        groups = [(seg.rows, shift[:k], lo[:k], hi[:k])]
+    else:
+        groups = [(seg.rows, shift, lo, hi)]
+    if seg.tail.size:
+        groups.append((seg.tail, shift.item(k), lo.item(k), hi.item(k)))
+    return _values(groups, seg.bit_width)
 
 
 def _roundtrip(v, bucket_size, bit_width, inner, rng):
     """dequantize_segment(quantize_segment(v, ...)) bit for bit, for a
     non-empty 1-D float array `v`, without building the Segment."""
-    size = min(bucket_size, v.size)
-    k, tail_len = divmod(v.size, size)
-    if k > 1:
-        codes, *meta = _quantize_rows(v[: k * size].reshape(k, size), v, bit_width, inner, rng)
-        out = _values(codes, *(m[:, None] for m in meta), bit_width).ravel()
-    else:
-        out = _values(*_quantize_row(v[:size], v, bit_width, inner, rng), bit_width)
-    if not tail_len:
-        return out
-    tail = _values(*_quantize_row(v[k * size :], v, bit_width, inner, rng), bit_width)
-    return np.concatenate((out, tail))
+    return _values(_quantize_pass(v, bucket_size, bit_width, inner, rng), bit_width)
 
 
 def _roundtrip_draws(v, count, bucket_size, bit_width, rng):
     """`count` successive `_roundtrip(v, bucket_size, bit_width,
     "uniform_stochastic", rng)` results as the rows of one (count, v.size)
-    array, bit for bit and draw for draw.
-
-    Every call sees the same buckets, so each draws one uniform per value
-    of its live buckets, bucket by bucket and the tail last, and a
-    degenerate bucket draws nothing; rng.random((count, m)) yields the m
-    draws of all `count` calls in that order.  Untransportable values raise
-    before anything is drawn.
-    """
-    size = min(bucket_size, v.size)
-    k = v.size // size
-    buckets = [v[: k * size].reshape(k, size)]
-    if v.size > k * size:
-        buckets.append(v[k * size :][None])
-    ends = [_bucket_ends(x, v) for x in buckets]
-    live = [lo != hi for lo, hi in ends]
-    widths = [np.count_nonzero(l) * x.shape[1] for x, l in zip(buckets, live)]
-    u = rng.random((count, sum(widths)))
-    out, col = [], 0
-    for x, (lo, hi), l, width in zip(buckets, ends, live, widths):
-        codes = np.zeros((count, *x.shape))
-        if width:
-            y = np.broadcast_to(x[l], (count, width // x.shape[1], x.shape[1]))
-            draws = u[:, col : col + width].reshape(y.shape)
-            span = (hi[l] - lo[l])[:, None]
-            codes[:, l], _ = _code(y, lo[l][:, None], span, bit_width,
-                                   "uniform_stochastic", draws)
-            col += width
-        out.append(_values(codes, 0.0, lo[:, None], hi[:, None], bit_width))
-    return np.concatenate([o.reshape(count, -1) for o in out], axis=1)
+    array, bit for bit and draw for draw."""
+    groups = _quantize_pass(v, bucket_size, bit_width, "uniform_stochastic", rng, count)
+    return _values(groups, bit_width, (count,))
 
 
-def _values(codes, shift, lo, hi, bit_width):
-    """Values of `codes` in buckets spanning [lo, hi], plus `shift`.
-
-    The metadata are floats for one bucket, or (buckets, 1) columns for the
-    rows of a 2-D `codes`, as in `_code`.  Float64 codes are overwritten.
-    """
-    out = codes.astype(np.float64, copy=False)
-    out *= (hi - lo) / ((1 << bit_width) - 1)
-    out += lo
-    # lo + code * pitch is never -0.0, so adding a zero shift is the identity
-    if shift if isinstance(shift, float) else np.count_nonzero(shift):
-        out += shift
-    return out
+def _values(groups, bit_width, lead=()):
+    """Values of a message's (codes, shift, lo, hi) groups, each bucket
+    spanning [lo, hi] plus its shift, as one (*lead, length) array.  The
+    metadata are floats for one bucket, else one entry per row of codes, as
+    `_code` gives them.  Float64 codes are overwritten."""
+    parts = []
+    for codes, shift, lo, hi in groups:
+        pitch = (hi - lo) / ((1 << bit_width) - 1)
+        if isinstance(lo, np.ndarray):  # one entry per row
+            shift, lo, pitch = shift[:, None], lo[:, None], pitch[:, None]
+        out = codes.astype(np.float64, copy=False)
+        out *= pitch
+        out += lo
+        # lo + code * pitch is never -0.0, so adding a zero shift is the identity
+        if shift if isinstance(shift, float) else np.count_nonzero(shift):
+            out += shift
+        parts.append(out if out.ndim == len(lead) + 1 else out.reshape(*lead, -1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def quantize_bucket(

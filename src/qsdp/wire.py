@@ -33,7 +33,7 @@ import struct
 
 import numpy as np
 
-from .quantize import QuantizedBlock, Segment, _code_dtype
+from .quantize import QuantizedBlock, Segment, _code_dtype, _layout
 
 __all__ = [
     "WIRE_VERSION",
@@ -253,7 +253,6 @@ def message_size_bits(blocks: list[QuantizedBlock]) -> int:
 def segment_size_bits(length: int, bucket_size: int, bit_width: int) -> int:
     """Exact encoded size in bits of the segment `quantize_segment` makes of
     `length` values: message_size_bits of its blocks, without building them."""
-    size = max(min(bucket_size, length), 1)
-    k, tail = divmod(length, size)
+    size, k, tail = _layout(length, bucket_size)
     bits = HEADER_BITS + k * _block_bits(size, bit_width)
     return bits + _block_bits(tail, bit_width) if tail else bits

@@ -398,6 +398,7 @@ def test_extreme_config_numbers_exit_3_before_any_seed_runs(
     assert len(err.splitlines()) == 1
     assert err.startswith("qsdp: numerical failure:")
     assert field in err
+    assert "np.float64(" not in err
     assert runs == []
     assert not out.exists()
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qsdp.optimizer import UniformStochasticGradientQuantizer
 from qsdp.quantize import (
     BucketSpec,
     QuantizedBlock,
@@ -363,3 +364,45 @@ def test_non_finite_values_keep_their_index_in_the_message():
     v = [0.0, 1.0, 2.0, 3.0, 4.0, np.nan]
     with pytest.raises(ValueError, match="non-finite bucket value at index 5"):
         quantize_segment(v, 4, 8, "shift", np.random.default_rng(0))
+
+
+# (bucket size, index of the bad value) in a message of 14 values: three full
+# buckets of 4 and a tail of 2, or a single bucket
+_BAD_VALUE_AT = {
+    "first-bucket": (4, 1),
+    "middle-bucket": (4, 6),
+    "tail": (4, 13),
+    "one-bucket": (16, 3),
+}
+_BAD_VALUES = {
+    "nan": (np.nan, "^non-finite bucket value at index {}: nan$"),
+    "1e39": (1e39, r"^bucket value at index {}: 1e\+39 is beyond the float32 range"),
+}
+_CODEC_CALLS = {
+    **{
+        f"quantize_segment-{inner}": lambda v, b, rng, inner=inner: quantize_segment(
+            v, b, 8, inner, rng
+        )
+        for inner in INNERS
+    },
+    **{
+        f"roundtrip-{inner}": lambda v, b, rng, inner=inner: _roundtrip(v, b, 8, inner, rng)
+        for inner in INNERS
+    },
+    "gradient-quantizer": lambda v, b, rng: UniformStochasticGradientQuantizer(
+        8, BucketSpec(b)
+    )(v, rng),
+}
+
+
+@pytest.mark.parametrize("bad, pattern", _BAD_VALUES.values(), ids=_BAD_VALUES.keys())
+@pytest.mark.parametrize("bucket, index", _BAD_VALUE_AT.values(), ids=_BAD_VALUE_AT.keys())
+@pytest.mark.parametrize("call", _CODEC_CALLS.values(), ids=_CODEC_CALLS.keys())
+def test_a_bad_value_is_rejected_before_anything_is_drawn(call, bucket, index, bad, pattern):
+    v = np.arange(14.0)
+    v[index] = bad
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=pattern.format(index)):
+        call(v, bucket, rng)
+    assert rng.bit_generator.state == state
