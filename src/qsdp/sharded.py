@@ -6,9 +6,9 @@ contiguous slice `params[name][s:e]` given by `shard_bounds`; a shard is a view
 of the layer, never a copy.  A step runs a forward pass (quantize own shard,
 all-gather, compute, discard), a backward pass (gather again, compute
 gradients), and one reduce-scatter per layer that leaves each worker with the
-average of all workers' dequantized gradient contributions restricted to its
-shard.  Dense layers are quantized; bias and normalization layers always
-travel at full precision.
+average of all workers' gradient contributions restricted to its shard.  Dense
+layers are quantized; bias and normalization layers always travel at full
+precision.
 
 Every worker runs the same layer math on its own rows of the batch, so
 activations are one (P, rows, width) array and a layer's matmul is one stacked
@@ -16,11 +16,20 @@ call; numpy runs it as one gemm per worker slice, which matches per-worker
 matmuls bit for bit (one flat (batch, width) matmul would not).
 
 Each quantized shard message is quantized, encoded, decoded and dequantized
-as one segment of whole arrays.  Its randomness comes from one generator keyed
-by (root seed, step, layer, phase, source worker, shard start), and its
-buckets draw from it in order, so any worker count replays exactly the same
-quantization draws as the single-process reference implementation, and the
-two must agree bit for bit.
+as one segment of whole arrays.  Its randomness comes from one generator per
+quantized collective, keyed by (root seed, step, layer, kind) with kind
+`WEIGHTS` or `GRADIENTS`.  An all-gather's shard messages draw from it in
+shard order; a reduce-scatter's draw worker-major, then in shard order, and
+only the messages that cross to another worker draw.  So any worker count
+replays exactly the same quantization draws as the single-process reference
+implementation, and the two must agree bit for bit.
+
+A layer's weights are quantized once per step: the forward gather keeps its
+messages' wire bytes, and the backward gather of the same step and layer
+re-sends them, so both passes compute at the same quantized point.  A
+backward gather that finds no kept bytes quantizes again under the same key,
+which gives the same bytes.  A worker's gradient shard for its own slice
+never leaves it and skips the codec: the owner adds it exactly.
 
 Once warm, a step allocates no array the size of a layer.  A full-precision
 gather receives every shard unchanged, so it returns the layer array itself; a
@@ -30,16 +39,17 @@ full-layer gradient is computed into scratch, its shard messages are sent, and
 what each owner reconstructs is added into a zeroed sum buffer; then the sum
 is divided by P, scaled by the learning rate and subtracted from the layer in
 place.  Each shard still sums 0 + v_0 + ... + v_{P-1} in worker order, so the
-values match the reference.  Scratch belongs to the model instance, one buffer
-per (role, layer kind) grown to the largest layer seen, so separate models
-(one per thread, say) never share it.  The order of `LedgerEntry.transfers` is
-not part of the contract; only the totals over it are.
+values match the reference.  Scratch and kept bytes belong to the model
+instance, scratch one buffer per (role, layer kind) grown to the largest layer
+seen, so separate models (one per thread, say) never share them.  The order
+of `LedgerEntry.transfers` is not part of the contract; only the totals over
+it are.
 
 Communication accounting is peer-to-peer: a shard's encoded message crossing
-to P-1 other workers is counted P-1 times, and a message that stays on its
-worker records no transfer.  Full-precision transfers carry no framing and are
-charged at 32 bits per element (by ledger convention; the math stays
-float64).
+to P-1 other workers is counted P-1 times, in the backward re-gather as in the
+forward gather, and a message that stays on its worker records no transfer.
+Full-precision transfers carry no framing and are charged at 32 bits per
+element (by ledger convention; the math stays float64).
 """
 
 from __future__ import annotations
@@ -75,12 +85,18 @@ __all__ = [
     "ReferenceMLP",
     "PHASE_W_FWD",
     "PHASE_W_BWD",
-    "PHASE_GRAD",
+    "WEIGHTS",
+    "GRADIENTS",
 ]
 
+# The two gathers of a layer in one step; the backward one re-sends the
+# forward's bytes.
 PHASE_W_FWD = 0
 PHASE_W_BWD = 1
-PHASE_GRAD = 2
+
+# The kinds of quantized collective, one generator each per (step, layer).
+WEIGHTS = 0
+GRADIENTS = 1
 
 
 @dataclass(frozen=True)
@@ -192,13 +208,15 @@ def shard_bounds(size: int, P: int) -> list[tuple[int, int]]:
 
 
 def bucket_rng(
-    root_seed: int, step: int, layer_idx: int, phase: int, worker: int, start: int
+    root_seed: int, step: int, layer_idx: int, kind: int
 ) -> np.random.Generator:
-    """Deterministic generator for one shard message starting at `start`.
+    """Deterministic generator for one quantized collective of `kind`
+    (`WEIGHTS` or `GRADIENTS`).
 
-    The message's buckets draw from it in order.
+    The collective's messages draw from it in send order, and each message's
+    buckets in order.
     """
-    ss = np.random.SeedSequence((root_seed, step, layer_idx, phase, worker, start))
+    ss = np.random.SeedSequence((root_seed, step, layer_idx, kind))
     return np.random.default_rng(ss)
 
 
@@ -284,6 +302,8 @@ class ShardedMLP:
         self.ledger: list[LedgerEntry] = []
         self._pairs = len(config.widths) - 1
         self._scratch: dict[tuple[str, str], np.ndarray] = {}
+        # (step, layer index) -> the forward gather's wire bytes, one per shard
+        self._sent: dict[tuple[int, int], list[bytes]] = {}
 
     def _buffer(self, role: str, layer: LayerSpec) -> np.ndarray:
         """Scratch of layer.size for `role`, shared by every layer of its kind.
@@ -300,35 +320,32 @@ class ShardedMLP:
 
     # -- transport -----------------------------------------------------
 
-    def _bits(self, layer: LayerSpec, phase: int) -> int:
-        """Quantizer bit width of `layer`'s messages in `phase`; 0 if none."""
+    def _bits(self, layer: LayerSpec, kind: int) -> int:
+        """Quantizer bit width of `layer`'s messages of `kind`; 0 if none."""
         q = self.quant
         if layer.kind != "dense":
             return 0
-        if phase == PHASE_GRAD:
+        if kind == GRADIENTS:
             return q.gradient_bits if q.quantize_gradients else 0
         return q.weight_bits if q.quantize_weights else 0
 
-    def _message(self, step, layer_idx, phase, worker, start, values, copies, entry):
-        """Send one shard message from `worker` to `copies` other workers.
+    def _encode(self, values, bits, kind, rng) -> bytes:
+        """Wire v1 bytes of one quantized shard message."""
+        mode = "uniform_stochastic" if kind == GRADIENTS else "shift"
+        return encode_segment(
+            quantize_segment(values, self.quant.bucket_size, bits, mode, rng)
+        )
 
-        Returns what a receiver reconstructs (from the wire v1 bytes alone if
-        quantized); records a transfer if copies > 0."""
-        layer = self.layers[layer_idx]
-        bits = self._bits(layer, phase)
-        if bits:
-            wire = encode_segment(quantize_segment(
-                values,
-                self.quant.bucket_size,
-                bits,
-                "uniform_stochastic" if phase == PHASE_GRAD else "shift",
-                bucket_rng(self.cfg.root_seed, step, layer_idx, phase, worker, start),
-            ))
-            received, nbytes = dequantize_segment(decode_segment(wire)), len(wire)
-        else:
+    def _deliver(self, layer, collective, bits, values, wire, copies, entry):
+        """Send one shard message of `values` to `copies` other workers.
+
+        Returns what a receiver reconstructs: from the wire v1 bytes alone if
+        quantized, else `values` itself; records a transfer if copies > 0."""
+        if wire is None:
             received, bits, nbytes = values, 32, values.size * 4
+        else:
+            received, nbytes = dequantize_segment(decode_segment(wire)), len(wire)
         if copies:
-            collective = "reducescatter" if phase == PHASE_GRAD else "allgather"
             entry.record(
                 Transfer(collective, layer.name, bits, nbytes, copies, values.size * bits)
             )
@@ -336,26 +353,50 @@ class ShardedMLP:
 
     def _gather(self, step: int, layer_idx: int, phase: int, entry: LedgerEntry):
         """All-gather one layer into scratch, or at full precision return the
-        layer array itself (read-only for the caller)."""
+        layer array itself (read-only for the caller).
+
+        Quantized, the forward gather keeps its wire bytes and the backward
+        gather of the same step and layer re-sends them."""
         layer = self.layers[layer_idx]
         flat = self.params[layer.name]
-        full = self._buffer("gather", layer) if self._bits(layer, phase) else flat
-        for s, e in self.bounds[layer.name]:
-            if e > s:  # every peer receives the same; unquantized, the shard itself
-                full[s:e] = self._message(
-                    step, layer_idx, phase, 0, s, flat[s:e], self.cfg.P - 1, entry
-                )
+        shards = [(s, e) for s, e in self.bounds[layer.name] if e > s]
+        bits = self._bits(layer, WEIGHTS)
+        if bits:
+            full = self._buffer("gather", layer)
+            key = (step, layer_idx)
+            wires = self._sent.pop(key, None) if phase == PHASE_W_BWD else None
+            if wires is None:
+                rng = bucket_rng(self.cfg.root_seed, step, layer_idx, WEIGHTS)
+                wires = [self._encode(flat[s:e], bits, WEIGHTS, rng) for s, e in shards]
+                if phase == PHASE_W_FWD:
+                    self._sent[key] = wires
+        else:  # every peer receives the shard itself
+            full, wires = flat, [None] * len(shards)
+        for (s, e), wire in zip(shards, wires):
+            full[s:e] = self._deliver(
+                layer, "allgather", bits, flat[s:e], wire, self.cfg.P - 1, entry
+            )
         entry.allgather_events += 1
         return full
 
-    def _reduce_scatter(self, step, layer_idx, p, grad, total, entry):
+    def _reduce_scatter(self, layer_idx, p, grad, total, rng, entry):
         """Send worker p's gradient shards to their owners, adding what each
-        owner reconstructs into its slice of `total`."""
-        for q, (s, e) in enumerate(self.bounds[self.layers[layer_idx].name]):
-            if e > s:
-                total[s:e] += self._message(
-                    step, layer_idx, PHASE_GRAD, p, s, grad[s:e], int(p != q), entry
-                )
+        owner reconstructs into its slice of `total`.
+
+        p's own shard never leaves it and is added exactly.  Quantized, the
+        other shards draw from `rng`, the collective's generator."""
+        layer = self.layers[layer_idx]
+        bits = self._bits(layer, GRADIENTS)
+        for q, (s, e) in enumerate(self.bounds[layer.name]):
+            if e == s:
+                continue
+            if q == p:
+                total[s:e] += grad[s:e]
+                continue
+            wire = self._encode(grad[s:e], bits, GRADIENTS, rng) if bits else None
+            total[s:e] += self._deliver(
+                layer, "reducescatter", bits, grad[s:e], wire, 1, entry
+            )
 
     # -- per-layer building blocks --------------------------------------
 
@@ -370,7 +411,8 @@ class ShardedMLP:
         return z
 
     def backward_layer(self, step, pair_idx, inputs, dzs, entry):
-        """Re-gather the pair, sync gradients, update the layers.
+        """Re-gather the pair (re-sending the forward gather's bytes), sync
+        gradients, update the layers.
 
         The reduce-scatter runs worker by worker: each worker's full-layer
         gradient is computed into one scratch buffer, sent, and summed into
@@ -388,11 +430,14 @@ class ShardedMLP:
         w_total, b_total = self._buffer("sum", dense), self._buffer("sum", bias)
         w_total.fill(0.0)
         b_total.fill(0.0)
-        for p in range(P):
+        rng = None
+        if self._bits(dense, GRADIENTS):
+            rng = bucket_rng(self.cfg.root_seed, step, dense_idx, GRADIENTS)
+        for p in range(P):  # worker-major, as the collective's messages draw
             np.matmul(inputs[p].T, dzs[p], out=dw.reshape(dense.shape))
             dzs[p].sum(axis=0, out=db)
-            self._reduce_scatter(step, dense_idx, p, dw, w_total, entry)
-            self._reduce_scatter(step, dense_idx + 1, p, db, b_total, entry)
+            self._reduce_scatter(dense_idx, p, dw, w_total, rng, entry)
+            self._reduce_scatter(dense_idx + 1, p, db, b_total, None, entry)
         entry.reducescatter_events += 2
         lr = self.cfg.lr
         for layer, total in ((dense, w_total), (bias, b_total)):
@@ -406,6 +451,7 @@ class ShardedMLP:
     def train_step(self, step: int) -> tuple[float, LedgerEntry]:
         cfg = self.cfg
         entry = LedgerEntry(step=step)
+        self._sent.clear()  # bytes a failed or partial step left behind
         data_step = 0 if cfg.fixed_batch else step
         x, y = make_batch(list(cfg.widths), cfg.batch, cfg.data_seed, data_step)
         rows = cfg.batch // cfg.P
@@ -434,9 +480,10 @@ class ShardedMLP:
 class ReferenceMLP:
     """Single-process execution of the same quantized iteration.
 
-    Holds full tensors, replays the identical per-(step, layer, phase,
-    worker, shard) quantization draws, and performs no transport.  Used as
-    the bit-exact comparison target for the sharded simulation.
+    Holds full tensors, replays the identical quantization draws of each
+    collective, quantizes each layer's weights once per step, and performs no
+    transport.  Used as the bit-exact comparison target for the sharded
+    simulation.
     """
 
     def __init__(self, config: SimConfig):
@@ -449,37 +496,41 @@ class ReferenceMLP:
         }
         self._pairs = len(config.widths) - 1
 
-    def _quantized_view(self, step, layer_idx, phase):
+    def _quantized_view(self, step, layer_idx):
+        """The layer as every worker reconstructs it from the all-gather."""
         layer = self.layers[layer_idx]
         flat = self.params[layer.name]
         if not (layer.kind == "dense" and self.quant.quantize_weights):
             return flat.copy()
         size, bits = self.quant.bucket_size, self.quant.weight_bits
+        rng = bucket_rng(self.cfg.root_seed, step, layer_idx, WEIGHTS)
         return np.concatenate([
-            _roundtrip(flat[s:e], size, bits, "shift",
-                       bucket_rng(self.cfg.root_seed, step, layer_idx, phase, 0, s))
+            _roundtrip(flat[s:e], size, bits, "shift", rng)
             for s, e in shard_bounds(flat.size, self.cfg.P) if e > s
         ])
 
     def _averaged_gradient(self, step, layer_idx, per_worker_grads):
+        """Each owner's average of the workers' shards of its slice.
+
+        A shard that crosses to another worker goes through the codec,
+        worker-major and then in shard order; an owner's own shard is exact."""
         layer = self.layers[layer_idx]
         P = self.cfg.P
-        quantized = layer.kind == "dense" and self.quant.quantize_gradients
+        bounds = shard_bounds(layer.size, P)
+        sent = [[g[s:e] for s, e in bounds] for g in per_worker_grads]  # [p][q]
+        if layer.kind == "dense" and self.quant.quantize_gradients:
+            rng = bucket_rng(self.cfg.root_seed, step, layer_idx, GRADIENTS)
+            for p, row in enumerate(sent):
+                for q, seg in enumerate(row):
+                    if q != p and seg.size:
+                        row[q] = _roundtrip(seg, self.quant.bucket_size,
+                                            self.quant.gradient_bits,
+                                            "uniform_stochastic", rng)
         segments = []
-        for q, (s, e) in enumerate(shard_bounds(layer.size, P)):
-            if e == s:
-                segments.append(np.zeros(0))
-                continue
-            acc = np.zeros(e - s)
+        for q in range(P):
+            acc = np.zeros(sent[0][q].size)
             for p in range(P):
-                seg = per_worker_grads[p][s:e]
-                if quantized:
-                    rng = bucket_rng(self.cfg.root_seed, step, layer_idx, PHASE_GRAD, p, s)
-                    vals = _roundtrip(seg, self.quant.bucket_size, self.quant.gradient_bits,
-                                      "uniform_stochastic", rng)
-                else:
-                    vals = seg
-                acc = acc + vals
+                acc = acc + sent[p][q]
             segments.append(acc / P)
         return np.concatenate(segments)
 
@@ -491,13 +542,12 @@ class ReferenceMLP:
         xs = [x[p * rows : (p + 1) * rows] for p in range(cfg.P)]
         ys = [y[p * rows : (p + 1) * rows] for p in range(cfg.P)]
 
-        inputs, outputs = [], []
+        inputs, outputs, ws = [], [], []
         hs = xs
         for i in range(self._pairs):
-            w = self._quantized_view(step, 2 * i, PHASE_W_FWD).reshape(
-                self.layers[2 * i].shape
-            )
-            b = self._quantized_view(step, 2 * i + 1, PHASE_W_FWD)
+            w = self._quantized_view(step, 2 * i).reshape(self.layers[2 * i].shape)
+            b = self._quantized_view(step, 2 * i + 1)
+            ws.append(w)  # the backward computes at the same quantized point
             inputs.append(hs)
             zs = [h @ w + b for h in hs]
             outs = [z if i == self._pairs - 1 else np.tanh(z) for z in zs]
@@ -509,9 +559,7 @@ class ReferenceMLP:
         ]
         dzs = [(hs[p] - ys[p]) / rows for p in range(cfg.P)]
         for i in range(self._pairs - 1, -1, -1):
-            w = self._quantized_view(step, 2 * i, PHASE_W_BWD).reshape(
-                self.layers[2 * i].shape
-            )
+            w = ws[i]
             dw = [(inputs[i][p].T @ dzs[p]).ravel() for p in range(cfg.P)]
             db = [dzs[p].sum(axis=0) for p in range(cfg.P)]
             new_dzs = None

@@ -259,7 +259,7 @@ SHIPPED_DIGESTS = {
     "converge.json": "5dc161b7f8bacbb287c7b38e905b4a08b468a310bf0fa1d4adf867faf1b5f82e",
     "learn-levels.json": "92c58adeb28fcd71b0d948275959567845bf7c0dc558f1f8d1d44d49501b9e8e",
     "quant-stats.json": "ecdebf2630aa14b721730e49f15b931223ddaad9f7e1602a82d9d526a8dd4ba6",
-    "train-sim.json": "36a38d44a128de3abff039adaa3f9c759c919446d5105958bb413d27dd12d711",
+    "train-sim.json": "1aed5927f9e7b16159dc4005919ce78f02db37e4f051dc20db9819ad662bae59",
 }
 SHIPPED = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdp import sharded
 from qsdp.sharded import (
+    PHASE_W_BWD,
     PHASE_W_FWD,
     LayerSpec,
     LedgerEntry,
@@ -23,6 +25,7 @@ from qsdp.sharded import (
     shard_bounds,
     simulate_step_time,
 )
+from qsdp.wire import segment_size_bits
 
 WIDTHS = (64, 64, 10)
 
@@ -212,6 +215,93 @@ class TestEquivalence:
         after = sim.full_params()
         assert np.array_equal(before["dense0"], after["dense0"])
         assert np.array_equal(before["bias0"], after["bias0"])
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of `qsdp.sharded.<name>` while monkeypatched."""
+    calls = []
+    original = getattr(sharded, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sharded, name, wrapper)
+    return calls
+
+
+class TestQuantizedTransport:
+    def test_one_generator_per_collective(self, monkeypatch):
+        # 3 dense layers: one weight gather and one gradient reduce-scatter
+        # each; P shard messages per gather and P(P-1) per reduce-scatter
+        sim = _sim(P=4, widths=(256, 512, 512, 64), batch=32)
+        rngs = _counting(monkeypatch, "bucket_rng")
+        quantized = _counting(monkeypatch, "quantize_segment")
+        sim.train_step(0)
+        assert len(rngs) == 6
+        assert sorted(args[2:] for args in rngs) == [
+            (layer, kind) for layer in (0, 2, 4)
+            for kind in (sharded.WEIGHTS, sharded.GRADIENTS)
+        ]
+        assert len(quantized) == 3 * 4 + 3 * 4 * 3
+
+    def test_own_gradient_shard_is_exact_at_one_worker(self):
+        quant = QuantConfig(quantize_weights=False, quantize_gradients=True)
+        raw = QuantConfig(quantize_weights=False, quantize_gradients=False)
+        sim, exact = _sim(P=1, quant=quant), _sim(P=1, quant=raw)
+        assert sim.train_step(0)[0] == exact.train_step(0)[0]
+        for name, full in sim.full_params().items():
+            assert full.tobytes() == exact.full_params()[name].tobytes()
+
+    def test_only_crossing_gradient_shards_are_quantized(self, monkeypatch):
+        P, widths, bucket = 3, (10, 7, 3), 8  # uneven shards, tails in buckets
+        quant = QuantConfig(quantize_weights=False, bucket_size=bucket)
+        sim = _sim(P=P, quant=quant, widths=widths, batch=6)
+        quantized = _counting(monkeypatch, "quantize_segment")
+        _, entry = sim.train_step(0)
+        dense = [l for l in sim.layers if l.kind == "dense"]
+        assert len(quantized) == len(dense) * P * (P - 1)
+        rs = sum(
+            (P - 1) * (segment_size_bits(e - s, bucket, 8) if l.kind == "dense"
+                       else 32 * (e - s))
+            for l in sim.layers for s, e in sim.bounds[l.name] if e > s
+        )
+        assert entry.reducescatter_bits == rs
+
+    def test_backward_gather_resends_the_forward_bytes(self, monkeypatch):
+        sim = _sim(P=4)
+        fwd, bwd = LedgerEntry(step=0), LedgerEntry(step=0)
+        forward = sim._gather(0, 0, PHASE_W_FWD, fwd).copy()
+        quantized = _counting(monkeypatch, "quantize_segment")
+        backward = sim._gather(0, 0, PHASE_W_BWD, bwd)
+        assert quantized == []  # nothing is quantized again
+        assert backward.tobytes() == forward.tobytes()
+        assert [t.nbytes for t in bwd.transfers] == [t.nbytes for t in fwd.transfers]
+        assert not np.array_equal(forward, sim.full_params()["dense0"])
+
+    def test_backward_without_forward_quantizes_the_same_bytes(self):
+        rng = np.random.default_rng(5)
+        sims = [_sim(P=4), _sim(P=4)]
+        rows = sims[0].cfg.batch // 4
+        inputs = rng.standard_normal((4, rows, WIDTHS[0]))
+        dzs = rng.standard_normal((4, rows, WIDTHS[1]))
+        sims[0].forward_layer(0, 0, inputs, LedgerEntry(step=0))
+        entries = [LedgerEntry(step=0), LedgerEntry(step=0)]
+        for sim, entry in zip(sims, entries):
+            sim.backward_layer(0, 0, inputs, dzs.copy(), entry)
+        assert entries[0].total_bits == entries[1].total_bits
+        for name, full in sims[0].full_params().items():
+            assert full.tobytes() == sims[1].full_params()[name].tobytes()
+
+    def test_kept_bytes_last_one_step(self):
+        sim = _sim(P=4)
+        for t in range(2):
+            sim.train_step(t)
+            assert sim._sent == {}
+        sim._gather(2, 0, PHASE_W_FWD, LedgerEntry(step=2))
+        assert list(sim._sent) == [(2, 0)]
+        sim.train_step(3)  # starts by dropping what step 2 left behind
+        assert sim._sent == {}
 
 
 class TestScratchBuffers:
