@@ -19,7 +19,8 @@ from .quantize import (
     quantize_with_levels,
     shift_round,
 )
-from .sharded import NetworkModel, QuantConfig, ShardedMLP, SimConfig, simulate_step_time
+from .sharded import (NetworkModel, QuantConfig, ShardedMLP, SimConfig, simulate_step_time,
+                      step_time_terms)
 
 __all__ = [
     "ConfigError",
@@ -37,9 +38,16 @@ class ConfigError(ValueError):
     pass
 
 
-# Longest converge horizon that runs: about 7 h per seed at the ~27 us per
-# step measured for the criterion-6 problem on one CPU core.
+# Most steps of a sequential loop that a command runs: a converge seed's T
+# (about 7 h at the ~27 us per step measured for the criterion-6 problem on
+# one CPU core) and learn-levels' passes x num_values level updates.
 MAX_ITERATIONS = 10**9
+
+# Most elements of one array that a command builds, 800 MB of float64.
+MAX_ELEMENTS = 10**8
+
+# Shifts drawn per vector by quant-stats' sparsity check.
+SPARSITY_SHIFTS = 4000
 
 
 _MISSING = object()
@@ -75,6 +83,12 @@ def _finish(cfg: dict, used: set) -> None:
     unknown = set(cfg) - used - {"experiment"}
     if unknown:
         raise ConfigError(f"unknown field(s): {', '.join(sorted(unknown))}")
+
+
+def _budget(field: str, count: int, limit: int, what: str) -> None:
+    """Refuse, naming `field`, a config whose `count` of `what` exceeds `limit`."""
+    if count > limit:
+        raise ConfigError(f"{field}: needs more {what} than the budget of {limit:.0e}")
 
 
 def _positive(v):
@@ -125,6 +139,10 @@ def cmd_quant_stats(cfg: dict):
     sparsity_dim = _take(cfg, used, "sparsity_dim", int, 32, _positive)
     sparsity_vectors = _take(cfg, used, "sparsity_vectors", int, 5, _positive)
     _finish(cfg, used)
+    _budget("num_scalars", num_scalars, MAX_ELEMENTS, "array elements")
+    _budget("samples", samples, MAX_ELEMENTS, "array elements per scalar")
+    _budget("sparsity_dim", SPARSITY_SHIFTS * sparsity_dim, MAX_ELEMENTS,
+            f"array elements in the ({SPARSITY_SHIFTS}, sparsity_dim) shift matrix")
 
     header = ["kind", "delta", "x", "n", "estimate", "target", "tolerance", "passed"]
     rows = []
@@ -153,7 +171,7 @@ def cmd_quant_stats(cfg: dict):
                 for _ in range(sparsity_vectors):
                     v = rng.uniform(-delta, delta, sparsity_dim) * 0.95
                     bound = float(np.abs(v).sum() / delta)
-                    n_r = 4000
+                    n_r = SPARSITY_SHIFTS
                     rs = rng.uniform(-delta / 2, delta / 2, n_r)
                     counts = np.count_nonzero(
                         shift_round(v[None, :], rs[:, None], delta), axis=1
@@ -184,9 +202,7 @@ def cmd_converge(cfg: dict):
     x0 = _take(cfg, used, "x0", list, check=_number_list)
     seeds = _take(cfg, used, "seeds", list, check=_int_list)
     gradient_bits = _take(cfg, used, "gradient_bits", int, None)
-    bench_samples = _take(cfg, used, "benchmark_samples", int, 100_000, _positive)
     bench_seed = _take(cfg, used, "benchmark_seed", int, 1, _non_negative)
-    budget_draws = _take(cfg, used, "budget_draws", int, 128, _positive)
     keep_trace = _take(cfg, used, "trace", bool, True)
     _finish(cfg, used)
     if len(x0) != n:
@@ -195,8 +211,7 @@ def cmd_converge(cfg: dict):
         raise ConfigError(f"linear: expected {n} entries, got {len(linear)}")
     if gradient_bits is not None and not 1 <= gradient_bits <= 16:
         raise ConfigError(f"gradient_bits: must be in [1, 16], got {gradient_bits}")
-    if budget_draws < 2:
-        raise ConfigError(f"budget_draws: must be >= 2, got {budget_draws}")
+    _budget("diagonal", n * n, MAX_ELEMENTS, "array elements in the dense (n, n) matrix")
     if sigma * sigma == math.inf:  # the plan needs sigma**2
         raise ArithmeticError(f"sigma {sigma!r}: its square is beyond the float range")
 
@@ -206,13 +221,11 @@ def cmd_converge(cfg: dict):
         raise ArithmeticError(f"linear: optimal value {problem.optimal_value!r} is not finite")
     x0 = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        bench = benchmark_expectation(
-            problem, delta_star, bench_samples, np.random.default_rng(bench_seed)
-        )
+        bench = benchmark_expectation(problem, delta_star)
         gap0 = problem.objective(x0) - bench.mean
-    if not (math.isfinite(bench.mean) and math.isfinite(bench.standard_error)):
+    if not math.isfinite(bench.mean):
         raise RuntimeError(f"diagonal and delta_star {delta_star!r}: benchmark "
-                           f"{bench.mean!r} (se {bench.standard_error!r}) is not finite")
+                           f"{bench.mean!r} is not finite")
     if not math.isfinite(gap0):
         raise RuntimeError(f"x0: initial gap {gap0!r} is not finite")
 
@@ -221,9 +234,7 @@ def cmd_converge(cfg: dict):
     if gradient_bits is not None:
         pilot_rng = np.random.default_rng((bench_seed, 99))
         pilot = [problem.stochastic_gradient(x0, pilot_rng) for _ in range(16)]
-        budget = gradient_quantizer_variance_budget(
-            gradient_bits, BucketSpec(), pilot, pilot_rng, draws=budget_draws
-        )
+        budget = gradient_quantizer_variance_budget(gradient_bits, BucketSpec(), pilot)
         grad_var = budget.sigma_nabla_sq
         quantizer = UniformStochasticGradientQuantizer(gradient_bits)
     at_sigma = f" at sigma {sigma!r}" if sigma > 0 else ""  # eta scales as 1/sigma**2
@@ -356,12 +367,15 @@ def cmd_train_sim(cfg: dict):
 
 
 def _step_time(entry, net: NetworkModel, field: str) -> float:
-    """simulate_step_time, refusing an infinite one; `field` names the bandwidth."""
+    """simulate_step_time, refusing an infinite one by naming the field of
+    its largest term; `field` names the bandwidth."""
     t = simulate_step_time(entry, net)
     if not math.isfinite(t):
-        terms = {field: entry.total_bits / net.bandwidth_bps, "compute_time_s":
-                 net.compute_time_s, "latency_s": net.latency_s * entry.collective_count}
-        raise ArithmeticError(f"{max(terms, key=terms.get)}: step time {t!r} s")
+        terms = step_time_terms(entry, net)
+        largest = max(terms, key=terms.get)
+        raise ArithmeticError(
+            f"{field if largest == 'bandwidth_bps' else largest}: step time {t!r} s"
+        )
     return t
 
 
@@ -498,6 +512,8 @@ def cmd_learn_levels(cfg: dict):
         raise ConfigError(f"distribution: expected gaussian or uniform, got {distribution!r}")
     if not 1 <= bit_width <= 16:
         raise ConfigError("bit_width: must be in [1, 16]")
+    _budget("num_values", num_values, MAX_ELEMENTS, "array elements")
+    _budget("passes", passes * num_values, MAX_ITERATIONS, "level updates (passes x num_values)")
 
     rng = np.random.default_rng(seed)
     if distribution == "gaussian":

@@ -11,7 +11,7 @@ import numpy as np
 
 from .optimizer import UniformStochasticGradientQuantizer
 from .problems import ProblemSpec
-from .quantize import BucketSpec, _groups, _roundtrip_draws
+from .quantize import BucketSpec, _ends, _groups
 
 # The block-list codec stays bound here for code that looks it up on this
 # module (perfbench/tracing.py).
@@ -27,32 +27,17 @@ __all__ = [
 
 MAX_ENUMERATION = 10**8
 
-# Values per chunk of the array work, (shifts, n) in the benchmark and
-# (draws, n) in the budget: the temporaries stay small enough to be reused
-# from cache, and memory no longer grows with the sample count.
-_CHUNK_VALUES = 1 << 14
 
-
-def _neighbour_terms(problem: ProblemSpec, delta_star: float, rs: np.ndarray):
-    """Floor and ceil lattice neighbours of each coordinate's unconstrained
-    minimizer b_i / a_i of a diagonal quadratic, for each shift in `rs`.
-
-    Returns (x_lo, x_hi, f_lo, f_hi), each (shifts, n): the two neighbours
-    and their terms 0.5 a_i x_i^2 - b_i x_i.
-    """
+def _separable_argmin(problem: ProblemSpec, delta_star: float, r: float):
+    """Exact per-coordinate lattice minimizer of a diagonal quadratic on
+    delta_star * Z^n + r: each coordinate takes the better of the floor and
+    ceil lattice neighbours of its unconstrained minimizer b_i / a_i, as
+    np.argmin over them would pick."""
     a = np.diag(problem.matrix)
     b = problem.linear
-    k_lo = np.floor((b / a - rs[:, None]) / delta_star)
-    x_lo, x_hi = (k * delta_star + rs[:, None] for k in (k_lo, k_lo + 1.0))
+    k_lo = np.floor((b / a - r) / delta_star)
+    x_lo, x_hi = (k * delta_star + r for k in (k_lo, k_lo + 1.0))
     f_lo, f_hi = (0.5 * a * x**2 - b * x for x in (x_lo, x_hi))
-    return x_lo, x_hi, f_lo, f_hi
-
-
-def _separable_argmin(problem: ProblemSpec, delta_star: float, rs: np.ndarray):
-    """Exact per-coordinate lattice minimizers for a diagonal quadratic, one
-    row per shift in `rs`: each coordinate takes the better of its two
-    lattice neighbours, as np.argmin over them would pick."""
-    x_lo, x_hi, f_lo, f_hi = _neighbour_terms(problem, delta_star, rs)
     up = (f_hi < f_lo) | (np.isnan(f_hi) & ~np.isnan(f_lo))
     return np.where(up, x_hi, x_lo)
 
@@ -81,7 +66,7 @@ def brute_force_lattice_min(
     if mode == "separable":
         if not problem.is_diagonal_quadratic():
             raise ValueError("separable mode requires a diagonal quadratic")
-        best_x = _separable_argmin(problem, delta_star, np.array([r]))[0]
+        best_x = _separable_argmin(problem, delta_star, r)
         return best_x, problem.objective(best_x)
 
     if problem.minimizer is None or problem.optimal_value is None:
@@ -127,98 +112,94 @@ class BenchmarkEstimate:
 def benchmark_expectation(
     problem: ProblemSpec,
     delta_star: float,
-    num_r_samples: int,
-    rng: np.random.Generator,
+    num_r_samples: int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> BenchmarkEstimate:
-    """Monte-Carlo estimate of E_r[min over the shifted coarse lattice of f].
+    """E_r[min over the shifted coarse lattice delta_star * Z^n + r * 1 of f],
+    with the scalar shift r uniform on [-delta_star/2, delta_star/2).
 
-    The shift r is a scalar drawn uniformly from [-delta_star/2,
-    delta_star/2); one lattice minimization is solved per sample.  A
-    diagonal quadratic is minimized per coordinate in fixed-size chunks of
-    shifts, so no (samples, n) array is built; the chunks draw their shifts
-    in order, and chunking changes neither the estimate nor the draws.
+    For a diagonal quadratic each coordinate's distance from its minimizer
+    to the nearest lattice point is uniform on a pitch, so the value is
+    exactly f* + delta_star^2 * tr(A) / 24, with standard error 0; nothing is
+    drawn.  Any other problem takes a Monte-Carlo estimate over
+    `num_r_samples` shifts drawn from `rng`, one exhaustive lattice
+    minimization per shift.
     """
-    if num_r_samples < 1:
+    if num_r_samples is not None and num_r_samples < 1:
         raise ValueError("need at least one shift sample")
-    half = delta_star / 2
     if problem.is_diagonal_quadratic():
-        f = np.empty(num_r_samples)
-        step = max(1, _CHUNK_VALUES // problem.dimension)
-        for start in range(0, num_r_samples, step):
-            rs = rng.uniform(-half, half, min(step, num_r_samples - start))
-            _, _, f_lo, f_hi = _neighbour_terms(problem, delta_star, rs)
-            np.minimum(f_lo, f_hi, out=f_lo).sum(axis=-1, out=f[start : start + rs.size])
-    else:
-        rs = rng.uniform(-half, half, num_r_samples)
-        f = np.array(
-            [brute_force_lattice_min(problem, delta_star, r, mode="exhaustive")[1]
-             for r in rs]
-        )
+        tr = float(np.diag(problem.matrix).sum())
+        return BenchmarkEstimate(problem.optimal_value + delta_star * delta_star * tr / 24, 0.0)
+    if num_r_samples is None or rng is None:
+        raise ValueError("a non-diagonal problem needs num_r_samples and rng")
+    half = delta_star / 2
+    rs = rng.uniform(-half, half, num_r_samples)
+    f = np.array([brute_force_lattice_min(problem, delta_star, r, mode="exhaustive")[1]
+                  for r in rs])
     se = float(f.std(ddof=1) / math.sqrt(f.size)) if f.size > 1 else 0.0
     return BenchmarkEstimate(float(f.mean()), se)
 
 
 @dataclass
 class VarianceBudget:
-    """Empirical and analytic bounds for a gradient quantizer's variance."""
+    """The exact variance of a gradient quantizer on each pilot gradient, and
+    the analytic bound on it."""
 
     sigma_nabla_sq: float
     analytic_bound: float
     per_sample_mean: np.ndarray
-    per_sample_se: np.ndarray
+
+
+def _flip_error(x, lo, hi, top: int) -> float:
+    """Exact E||Q(x) - x||^2 of the uniform_stochastic codec over the buckets
+    (rows, or one 1-D bucket) of the group `x`, given their float32 `lo` and
+    `hi` from `_ends`.
+
+    A live bucket scales to a = (x - lo) * top / span; floor(a + u) then
+    errs by f(1 - f) in squared code units (f = frac a) for 0 <= a <= top,
+    and the clip to [0, top] makes the error a^2 below and (a - top)^2 above
+    (float32 rounding can move lo above the minimum or hi below the
+    maximum).  A degenerate bucket (lo == hi) decodes to lo.
+    """
+    x, lo, hi = np.atleast_2d(x), np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+    span = hi - lo
+    dead = span == 0
+    a = (x - lo) * (top / np.where(dead, 1.0, span))
+    f = a - np.floor(a)
+    h = np.where(a < 0, a * a, np.where(a > top, (a - top) ** 2, f * (1 - f)))
+    live = float(((span / top) ** 2 * h.sum(axis=1, keepdims=True)).sum())
+    return live + float(np.square(x - lo)[dead[:, 0]].sum())
 
 
 def gradient_quantizer_variance_budget(
     bit_width: int,
     bucket: BucketSpec,
     sample_gradients,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
     draws: int = 128,
 ) -> VarianceBudget:
-    """Estimate E||Q(g) - g||^2 over representative gradients.
+    """E||Q(g) - g||^2 over representative gradients, computed exactly.
 
     Q is `UniformStochasticGradientQuantizer(bit_width, bucket)`, the
-    quantizer a run uses.  The `draws` realizations of a gradient are
-    quantized as the rows of one array (in fixed-size chunks for long
-    gradients) and consume `rng` exactly as `draws` sequential quantizer
-    calls would, so the estimate is bit for bit theirs.  Returns the
-    empirical upper envelope (max over samples of the Monte-Carlo mean plus
-    three standard errors) together with the analytic per-bucket
-    pitch * l1-norm bound.
+    quantizer a run uses; each pilot is checked as Q checks it.  Returns
+    the maximum over the pilots (sigma_nabla_sq), each pilot's value, and
+    the analytic per-bucket pitch * l1-norm bound.  Nothing is sampled:
+    `rng` and `draws` are accepted and unused.
     """
-    if draws < 2:
-        raise ValueError("need at least two draws per sample")
     sample_gradients = list(sample_gradients)
     if not sample_gradients:
         raise ValueError("sample_gradients: need at least one gradient")
     quantizer = UniformStochasticGradientQuantizer(bit_width, bucket)
-    size, bits = quantizer.bucket.bucket_size, quantizer.bit_width
-    means, ses, analytic = [], [], 0.0
+    size, top = quantizer.bucket.bucket_size, (1 << quantizer.bit_width) - 1
+    exact, bounds = [], []
     for g in sample_gradients:
         g = np.asarray(g, dtype=float).ravel()  # as the quantizer takes it
         if not g.size:
             raise ValueError("cannot quantize an empty vector")
-        errs = np.empty(draws)
-        step = max(1, _CHUNK_VALUES // g.size)
-        for start in range(0, draws, step):
-            count = min(step, draws - start)
-            err = _roundtrip_draws(g, count, size, bits, rng)
-            err -= g
-            np.square(err, out=err).sum(axis=1, out=errs[start : start + count])
-        means.append(errs.mean())
-        ses.append(errs.std(ddof=1) / math.sqrt(draws))
-        bound = 0.0
-        for group in _groups(g, size):  # the quantizer's buckets, in order
-            for seg in np.atleast_2d(group):
-                span = seg.max() - seg.min()
-                pitch = span / ((1 << bits) - 1)
-                bound += pitch * np.abs(seg).sum()
-        analytic = max(analytic, bound)
-    means = np.asarray(means)
-    ses = np.asarray(ses)
-    return VarianceBudget(
-        sigma_nabla_sq=float((means + 3.0 * ses).max()),
-        analytic_bound=float(analytic),
-        per_sample_mean=means,
-        per_sample_se=ses,
-    )
+        groups = _groups(g, size)  # the quantizer's buckets, in order
+        ends = [_ends(x, g)[:2] for x in groups]  # checks every value first
+        exact.append(sum(_flip_error(x, *e, top) for x, e in zip(groups, ends)))
+        bounds.append(sum(float(np.sum(np.ptp(x, axis=-1) / top * np.abs(x).sum(axis=-1)))
+                          for x in groups))
+    exact = np.asarray(exact)
+    return VarianceBudget(float(exact.max()), max(bounds), exact)

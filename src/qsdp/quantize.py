@@ -314,15 +314,14 @@ def _ends(x, v):
     return lo, hi, np.count_nonzero(lo != hi)
 
 
-def _quantize_pass(v, bucket_size, bit_width, inner, rng, count=None):
+def _quantize_pass(v, bucket_size, bit_width, inner, rng):
     """`_code` of each group of the non-empty 1-D float array `v`, quantized
     as one message.
 
     Every value is checked before anything is drawn.  One call then draws
     for the live buckets in order, one r ~ U[-1/2, 1/2) per bucket (shift)
     or one u ~ U[0, 1) per value (uniform_stochastic), which equals drawing
-    bucket by bucket; a degenerate bucket draws nothing.  `count`
-    (uniform_stochastic only) leads the draws with as many realizations.
+    bucket by bucket; a degenerate bucket draws nothing.
     """
     per_value = inner != "shift"
     # a message no longer than a bucket is one bucket: nothing to split
@@ -334,13 +333,12 @@ def _quantize_pass(v, bucket_size, bit_width, inner, rng, count=None):
         tail = groups[1]
         tail_lo, tail_hi, tail_live = _ends(tail, v)
         m += tail_live * tail.size if per_value else tail_live
-    shape = m if count is None else (count, m)
-    draws = rng.random(shape) if per_value else rng.uniform(-0.5, 0.5, shape)
+    draws = rng.random(m) if per_value else rng.uniform(-0.5, 0.5, m)
     if len(groups) == 1:
         return (_code(x, lo, hi, live, draws, bit_width, inner),)
     return (
-        _code(x, lo, hi, live, draws[..., :split], bit_width, inner),
-        _code(tail, tail_lo, tail_hi, tail_live, draws[..., split:], bit_width, inner),
+        _code(x, lo, hi, live, draws[:split], bit_width, inner),
+        _code(tail, tail_lo, tail_hi, tail_live, draws[split:], bit_width, inner),
     )
 
 
@@ -361,17 +359,12 @@ def _code(x, lo, hi, live, draws, bit_width, inner):
     """
     if x.ndim == 1:
         if not live:
-            return np.zeros((*draws.shape[:-1], x.size)), 0.0, lo, hi
+            return np.zeros(x.size), 0.0, lo, hi
         y, l, span, d = x, lo, hi - lo, draws if inner != "shift" else draws[0]
-        if draws.ndim > 1:
-            y = np.broadcast_to(x, draws.shape)
     else:
-        lead = draws.shape[:-1]
         mask = None if live == len(x) else lo != hi  # all live: views, no scatter
         y, l, h = (x, lo, hi) if mask is None else (x[mask], lo[mask], hi[mask])
         l, span = l[:, None], (h - l)[:, None]
-        if lead:
-            y = np.broadcast_to(y, (*lead, *y.shape))
         d = draws.reshape(span.shape if inner == "shift" else y.shape)
     top = (1 << bit_width) - 1
     a = y - l
@@ -388,8 +381,8 @@ def _code(x, lo, hi, live, draws, bit_width, inner):
         return codes, float(shift), lo, hi
     shift = shift[:, 0] if inner == "shift" else np.zeros(len(span))
     if mask is not None:  # degenerate rows keep all-zero codes and shifts
-        codes, live_codes = np.zeros((*lead, *x.shape)), codes
-        codes[..., mask, :] = live_codes
+        codes, live_codes = np.zeros(x.shape), codes
+        codes[mask] = live_codes
         shift, live_shift = np.zeros(len(x)), shift
         shift[mask] = live_shift
     return codes, shift, lo, hi
@@ -455,17 +448,9 @@ def _roundtrip(v, bucket_size, bit_width, inner, rng):
     return _values(_quantize_pass(v, bucket_size, bit_width, inner, rng), bit_width)
 
 
-def _roundtrip_draws(v, count, bucket_size, bit_width, rng):
-    """`count` successive `_roundtrip(v, bucket_size, bit_width,
-    "uniform_stochastic", rng)` results as the rows of one (count, v.size)
-    array, bit for bit and draw for draw."""
-    groups = _quantize_pass(v, bucket_size, bit_width, "uniform_stochastic", rng, count)
-    return _values(groups, bit_width, (count,))
-
-
-def _values(groups, bit_width, lead=()):
+def _values(groups, bit_width):
     """Values of a message's (codes, shift, lo, hi) groups, each bucket
-    spanning [lo, hi] plus its shift, as one (*lead, length) array.  The
+    spanning [lo, hi] plus its shift, as one 1-D array.  The
     metadata are floats for one bucket, else one entry per row of codes, as
     `_code` gives them.  Float64 codes are overwritten."""
     parts = []
@@ -479,8 +464,8 @@ def _values(groups, bit_width, lead=()):
         # lo + code * pitch is never -0.0, so adding a zero shift is the identity
         if shift if isinstance(shift, float) else np.count_nonzero(shift):
             out += shift
-        parts.append(out if out.ndim == len(lead) + 1 else out.reshape(*lead, -1))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        parts.append(out if out.ndim == 1 else out.reshape(-1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def quantize_bucket(

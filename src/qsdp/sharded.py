@@ -76,6 +76,7 @@ __all__ = [
     "Transfer",
     "LedgerEntry",
     "shard_bounds",
+    "step_time_terms",
     "simulate_step_time",
     "bucket_rng",
     "mlp_layer_specs",
@@ -188,13 +189,23 @@ class LedgerEntry:
             self.reducescatter_bits += transfer.total_bits
 
 
+def step_time_terms(entry: LedgerEntry, network: NetworkModel) -> dict[str, float]:
+    """The three terms of a simulated step time, in seconds, keyed by the
+    `NetworkModel` field each comes from: transport (total bits over
+    bandwidth), compute, and latency times the collective count."""
+    return {
+        "bandwidth_bps": entry.total_bits / network.bandwidth_bps,
+        "compute_time_s": network.compute_time_s,
+        "latency_s": network.latency_s * entry.collective_count,
+    }
+
+
 def simulate_step_time(entry: LedgerEntry, network: NetworkModel) -> float:
     """Deterministic step time for one ledger entry under a network model."""
-    transport = entry.total_bits / network.bandwidth_bps
-    overhead = network.latency_s * entry.collective_count
+    transport, compute, overhead = step_time_terms(entry, network).values()
     if network.overlap:
-        return overhead + max(network.compute_time_s, transport)
-    return network.compute_time_s + transport + overhead
+        return overhead + max(compute, transport)
+    return compute + transport + overhead
 
 
 def shard_bounds(size: int, P: int) -> list[tuple[int, int]]:

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from qsdp.cli import main
@@ -25,7 +26,6 @@ CONFIGS = {
         "delta_star": 0.5,
         "x0": [1.0, 1.0],
         "seeds": [0, 1, 2, 3],
-        "benchmark_samples": 20000,
         "trace": True,
     },
     "train-sim": {
@@ -256,7 +256,7 @@ def test_example_configs_parse(tmp_path):
 # run, so a changed digest means a changed draw stream or changed arithmetic.
 SHIPPED_DIGESTS = {
     "bandwidth-sweep.json": "6f696f48df12a37717f6e36f2a1bbe4b1e77e07da898311c05ddb049147c709e",
-    "converge.json": "5dc161b7f8bacbb287c7b38e905b4a08b468a310bf0fa1d4adf867faf1b5f82e",
+    "converge.json": "7b9f19fcc78d55eb3f9e4695591e0aace0a5a0b16d221741e7ace935dbf49b75",
     "learn-levels.json": "92c58adeb28fcd71b0d948275959567845bf7c0dc558f1f8d1d44d49501b9e8e",
     "quant-stats.json": "ecdebf2630aa14b721730e49f15b931223ddaad9f7e1602a82d9d526a8dd4ba6",
     "train-sim.json": "1aed5927f9e7b16159dc4005919ce78f02db37e4f051dc20db9819ad662bae59",
@@ -271,16 +271,37 @@ def test_shipped_config_output_bytes_are_pinned(tmp_path, path):
     assert main([command, "--config", str(path), "--out", str(out), "--no-timestamp"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_DIGESTS[path.name]
 
+
+# The shipped converge config runs unquantized gradients; this one pins the
+# variance budget -> plan -> run path of a gradient-quantized run.
+QUANTIZED_CONVERGE = {
+    "experiment": "converge",
+    "diagonal": [1.0, 1.0, 2.0, 4.0],
+    "sigma": 0.2,
+    "epsilon": 0.05,
+    "delta_star": 0.25,
+    "x0": [1.0, 1.0, 1.0, 1.0],
+    "seeds": [0, 1, 2, 3],
+    "gradient_bits": 4,
+    "benchmark_seed": 7,
+    "trace": False,
+}
+QUANTIZED_CONVERGE_DIGEST = "6ef157911970102b89538409fe2a1b8162cff77cfa52f57cbf05fdb153d4ddc9"
+
+
+def test_gradient_quantized_converge_output_bytes_are_pinned(tmp_path):
+    cfg_path = _write(tmp_path, "converge-g4", QUANTIZED_CONVERGE)
+    out = tmp_path / "out.csv"
+    assert main(["converge", "--config", cfg_path, "--out", str(out), "--no-timestamp"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QUANTIZED_CONVERGE_DIGEST
+
 MALFORMED = [
     ("converge", {"gradient_bits": 17}, "gradient_bits"),
     ("converge", {"gradient_bits": 0}, "gradient_bits"),
     ("converge", {"gradient_bits": True}, "gradient_bits"),
     ("converge", {"linear": [0.0]}, "linear"),
     ("converge", {"linear": [0.0, 0.0, 0.0]}, "linear"),
-    ("converge", {"benchmark_samples": True}, "benchmark_samples"),
     ("converge", {"benchmark_seed": False}, "benchmark_seed"),
-    ("converge", {"budget_draws": 1, "gradient_bits": 4}, "budget_draws"),
-    ("converge", {"budget_draws": True, "gradient_bits": 4}, "budget_draws"),
     ("converge", {"seeds": [0, True]}, "seeds"),
     ("train-sim", {"steps": True}, "steps"),
     ("train-sim", {"P": True}, "P"),
@@ -330,6 +351,16 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, command, p
     assert rc == 2
     assert err.startswith(f"qsdp: config error: {field}:")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [("benchmark_samples", 20000), ("budget_draws", 128)])
+def test_converge_rejects_its_removed_sampling_fields(tmp_path, capsys, field, value):
+    cfg_path = _write(tmp_path, "converge", dict(CONFIGS["converge"], **{field: value}))
+    out = tmp_path / "out.csv"
+    rc = main(["converge", "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"qsdp: config error: unknown field(s): {field}\n"
     assert not out.exists()
 
 
@@ -401,6 +432,78 @@ def test_extreme_config_numbers_exit_3_before_any_seed_runs(
     assert "np.float64(" not in err
     assert runs == []
     assert not out.exists()
+
+
+# id: (command, patch, the field the one stderr line must name) for sizes whose
+# arrays or loops exceed the documented budgets (MAX_ELEMENTS, MAX_ITERATIONS).
+_WIDE = 10**4 + 1  # a diagonal whose dense (n, n) matrix exceeds MAX_ELEMENTS
+EXTREME_SIZES = {
+    "quant-stats-sparsity_dim": ("quant-stats", {"sparsity_dim": 10**10}, "sparsity_dim"),
+    # the vector fits; the (4000, sparsity_dim) shift matrix does not
+    "quant-stats-sparsity_dim-matrix": ("quant-stats", {"sparsity_dim": 10**6}, "sparsity_dim"),
+    "quant-stats-samples": ("quant-stats", {"samples": 10**10}, "samples"),
+    "quant-stats-num_scalars": ("quant-stats", {"num_scalars": 10**10}, "num_scalars"),
+    "learn-levels-passes": ("learn-levels", {"passes": 10**9}, "passes"),
+    "learn-levels-num_values": ("learn-levels", {"num_values": 10**10}, "num_values"),
+    "converge-diagonal-wide": (
+        "converge", {"diagonal": [1.0] * _WIDE, "linear": [0.0] * _WIDE, "x0": [1.0] * _WIDE},
+        "diagonal",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,patch,field", EXTREME_SIZES.values(), ids=EXTREME_SIZES.keys())
+def test_extreme_config_sizes_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, patch, field
+):
+    import qsdp.experiments
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    cfg_path = _write(tmp_path, command, dict(CONFIGS[command], **patch))
+    out = tmp_path / "out.csv"
+    # each command's work starts with a generator or, for converge, the problem
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    monkeypatch.setattr(qsdp.experiments, "quadratic_problem", no_work)
+    rc = main([command, "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"qsdp: config error: {field}: ")
+    assert "budget" in err
+    assert not out.exists()
+
+
+# (command, field, a patch at the budget, one just beyond it, the budget patched in)
+AT_BUDGET = [
+    ("quant-stats", "samples", {"samples": 128_000}, {"samples": 128_001},
+     "MAX_ELEMENTS", 128_000),
+    ("quant-stats", "sparsity_dim", {"sparsity_dim": 8}, {"sparsity_dim": 9},
+     "MAX_ELEMENTS", 8 * 4000),
+    ("learn-levels", "num_values", {"num_values": 5000}, {"num_values": 5001},
+     "MAX_ELEMENTS", 5000),
+    ("learn-levels", "passes", {"passes": 2}, {"passes": 3}, "MAX_ITERATIONS", 2 * 5000),
+    ("converge", "diagonal", {}, {"diagonal": [1.0, 2.0, 3.0], "x0": [1.0] * 3},
+     "MAX_ELEMENTS", 2 * 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,within,beyond,budget,value", AT_BUDGET,
+    ids=[f"{c}-{f}" for c, f, *_ in AT_BUDGET],
+)
+def test_size_budgets_admit_their_limit_and_refuse_one_more(
+    tmp_path, capsys, monkeypatch, command, field, within, beyond, budget, value
+):
+    import qsdp.experiments
+
+    monkeypatch.setattr(qsdp.experiments, budget, value)
+    for name, patch, rc in (("within", within, 0), ("beyond", beyond, 2)):
+        cfg_path = _write(tmp_path, name, dict(CONFIGS[command], **patch))
+        out = tmp_path / f"{name}.csv"
+        assert main([command, "--config", cfg_path, "--out", str(out), "--no-timestamp"]) == rc
+    assert capsys.readouterr().err.startswith(f"qsdp: config error: {field}: ")
 
 
 # A fine lattice pitch so small that an iterate has no finite index on it.

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsdp import lattice_oracle
 from qsdp.lattice_oracle import (
     benchmark_expectation,
     brute_force_lattice_min,
@@ -53,8 +54,9 @@ class TestBruteForce:
 
 
 def _one_shot_benchmark(problem, delta_star, num_r_samples, rng):
-    """The benchmark as one (samples, n) array computation: all shifts drawn
-    at once, both lattice neighbours of every coordinate, the smaller term."""
+    """Monte-Carlo benchmark of a diagonal quadratic as one (samples, n) array
+    computation: all shifts drawn at once, both lattice neighbours of every
+    coordinate, the smaller term."""
     rs = rng.uniform(-delta_star / 2, delta_star / 2, num_r_samples)
     a, b = np.diag(problem.matrix), problem.linear
     k_lo = np.floor((b / a - rs[:, None]) / delta_star)
@@ -65,29 +67,38 @@ def _one_shot_benchmark(problem, delta_star, num_r_samples, rng):
     return float(f.mean()), se
 
 
-_ORACLE_PROBLEMS = {
-    "diagonal-linear": lambda: quadratic_problem(
-        np.diag([1.0, 1.0, 2.0, 4.0]), np.array([0.3, -1.2, 0.0, 2.5])
-    ),
-    "parabola": lambda: quadratic_problem(np.eye(1)),
-}
+@st.composite
+def _diagonal_problems(draw):
+    """A random diagonal quadratic with a nonzero linear term, and a pitch."""
+    n = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag = gen.uniform(0.1, 10.0, n)
+    linear = gen.uniform(-5.0, 5.0, n)
+    return quadratic_problem(np.diag(diag), linear), draw(st.floats(0.01, 2.0))
 
 
 class TestBenchmark:
-    @pytest.mark.parametrize("name", sorted(_ORACLE_PROBLEMS))
-    @pytest.mark.parametrize(
-        "chunks", [0.0, 0.5, 2.0, 2.25], ids=["one", "below", "multiple", "ragged"]
-    )
-    def test_chunks_match_the_one_shot_formula(self, name, chunks):
-        p = _ORACLE_PROBLEMS[name]()
-        step = lattice_oracle._CHUNK_VALUES // p.dimension
-        samples = max(1, int(chunks * step))
-        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        est = benchmark_expectation(p, 0.3, samples, rng)
-        mean, se = _one_shot_benchmark(p, 0.3, samples, ref_rng)
-        assert est.mean.hex() == mean.hex()
-        assert est.standard_error.hex() == se.hex()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_diagonal_problems())
+    def test_diagonal_closed_form_matches_sampling(self, case):
+        p, delta_star = case
+        rng = np.random.default_rng(21)
+        state = rng.bit_generator.state
+        est = benchmark_expectation(p, delta_star, 10**4, rng)
+        assert est.standard_error == 0.0
+        assert rng.bit_generator.state == state  # nothing is drawn
+        mean, se = _one_shot_benchmark(p, delta_star, 20000, np.random.default_rng(22))
+        assert abs(mean - est.mean) <= 5 * se + 1e-12 * (1 + abs(est.mean))
+
+    def test_non_diagonal_problem_is_sampled(self):
+        p = quadratic_problem(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2]))
+        with pytest.raises(ValueError, match="num_r_samples and rng"):
+            benchmark_expectation(p, 0.5)
+        est = benchmark_expectation(p, 0.5, 200, np.random.default_rng(8))
+        rs = np.random.default_rng(8).uniform(-0.25, 0.25, 200)
+        f = [brute_force_lattice_min(p, 0.5, r, mode="exhaustive")[1] for r in rs]
+        assert est.mean == float(np.mean(f))
+        assert est.standard_error == float(np.std(f, ddof=1) / math.sqrt(200))
 
     def test_memory_stays_below_one_samples_by_n_array(self):
         p = quadratic_problem(np.diag([1.0, 1.0, 2.0, 4.0]))
@@ -98,8 +109,8 @@ class TestBenchmark:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # f and its std's temporary take two (samples,) vectors, 16 MB; one
-        # (samples, 4) float64 array takes 32 MB
+        # the closed form stores nothing per shift; one (samples, 4) float64
+        # array takes 32 MB
         assert peak < 0.75 * samples * p.dimension * 8
 
     def test_fine_grid_limit_reaches_optimum(self):

@@ -24,6 +24,7 @@ from qsdp.sharded import (
     mlp_layer_specs,
     shard_bounds,
     simulate_step_time,
+    step_time_terms,
 )
 from qsdp.wire import segment_size_bits
 
@@ -437,6 +438,16 @@ class TestLedger:
 
 
 class TestStepTime:
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_step_time_is_composed_of_its_named_terms(self, overlap):
+        entry = LedgerEntry(step=0, allgather_bits=3 * 10**8, reducescatter_bits=10**8,
+                            allgather_events=4, reducescatter_events=2)
+        net = NetworkModel(1e9, latency_s=1e-3, compute_time_s=0.25, overlap=overlap)
+        terms = step_time_terms(entry, net)
+        assert terms == {"bandwidth_bps": 0.4, "compute_time_s": 0.25, "latency_s": 6e-3}
+        want = 6e-3 + (0.4 if overlap else 0.25 + 0.4)
+        assert simulate_step_time(entry, net) == pytest.approx(want, rel=1e-15)
+
     def test_infinite_bandwidth_limit(self):
         entry = LedgerEntry(step=0, allgather_bits=10**9, allgather_events=4,
                             reducescatter_events=2)
