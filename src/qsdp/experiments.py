@@ -40,7 +40,8 @@ class ConfigError(ValueError):
 
 # Most steps of a sequential loop that a command runs: a converge seed's T
 # (about 7 h at the ~27 us per step measured for the criterion-6 problem on
-# one CPU core) and learn-levels' passes x num_values level updates.
+# one CPU core), learn-levels' passes x num_values level updates, and
+# quant-stats' draws and sparsity shift-matrix entries.
 MAX_ITERATIONS = 10**9
 
 # Most elements of one array that a command builds, 800 MB of float64.
@@ -143,6 +144,12 @@ def cmd_quant_stats(cfg: dict):
     _budget("samples", samples, MAX_ELEMENTS, "array elements per scalar")
     _budget("sparsity_dim", SPARSITY_SHIFTS * sparsity_dim, MAX_ELEMENTS,
             f"array elements in the ({SPARSITY_SHIFTS}, sparsity_dim) shift matrix")
+    _budget("num_scalars", len(deltas) * num_scalars * samples, MAX_ITERATIONS,
+            "draws (len(deltas) x num_scalars x samples)")
+    _budget("sparsity_vectors",
+            len(deltas) * sparsity_vectors * SPARSITY_SHIFTS * sparsity_dim, MAX_ITERATIONS,
+            f"shift-matrix entries (len(deltas) x sparsity_vectors x {SPARSITY_SHIFTS}"
+            " x sparsity_dim)")
 
     header = ["kind", "delta", "x", "n", "estimate", "target", "tolerance", "passed"]
     rows = []
@@ -312,33 +319,35 @@ def _quant_from_bits(bit_widths: dict, bucket_size: int, field: str,
 
 
 def _sim_common(cfg: dict, used: set):
+    """The fields `train-sim` and `bandwidth-sweep` share: (layers, P,
+    bucket_size) and the network's (latency_s, compute_time_s, overlap)."""
     layers = _take(cfg, used, "layers", list,
                    check=lambda vs: _int_list(vs) or _positive_list(vs))
     P = _take(cfg, used, "P", int, 1, _positive)
-    batch = _take(cfg, used, "batch", int, 64, _positive)
-    lr = _take(cfg, used, "lr", float, 0.05, _positive)
     bucket_size = _take(cfg, used, "bucket_size", int, 1024, _positive)
-    bandwidth = _take(cfg, used, "bandwidth_bps", float, 1e10, _positive)
     latency = _take(cfg, used, "latency_s", float, 0.0, _non_negative)
     compute = _take(cfg, used, "compute_time_s", float, 0.0, _non_negative)
     overlap = _take(cfg, used, "overlap", bool, True)
     if len(layers) < 2:
         raise ConfigError("layers: need at least input and output widths")
-    if batch % P:
-        raise ConfigError(f"batch: {batch} does not divide across P={P} workers")
-    network = NetworkModel(bandwidth, latency, compute, overlap)
-    return layers, P, batch, lr, bucket_size, network
+    return layers, P, bucket_size, (latency, compute, overlap)
 
 
 def cmd_train_sim(cfg: dict):
     used: set = set()
-    layers, P, batch, lr, bucket_size, network = _sim_common(cfg, used)
+    layers, P, bucket_size, link = _sim_common(cfg, used)
+    batch = _take(cfg, used, "batch", int, 64, _positive)
+    lr = _take(cfg, used, "lr", float, 0.05, _positive)
+    bandwidth = _take(cfg, used, "bandwidth_bps", float, 1e10, _positive)
     bit_widths = _take(cfg, used, "bit_widths", dict, {"weights": 8, "gradients": 8})
     steps = _take(cfg, used, "steps", int, check=_positive)
     seeds = _take(cfg, used, "seeds", list, [0], _int_list)
     fixed_batch = _take(cfg, used, "fixed_batch", bool, False)
     _finish(cfg, used)
+    if batch % P:
+        raise ConfigError(f"batch: {batch} does not divide across P={P} workers")
 
+    network = NetworkModel(bandwidth, *link)
     quant = _quant_from_bits(bit_widths, bucket_size, "bit_widths")
     header = ["seed", "step", "loss", "allgather_bits", "reducescatter_bits", "step_time_s"]
     rows = []
@@ -394,15 +403,19 @@ def _sim(layers, P, batch, lr, quant, seed, fixed_batch=False) -> ShardedMLP:
 # ---------------------------------------------------------------------------
 
 
+def _ledger(layers, P, quant):
+    """The ledger entry of one step, which depends on the layer widths, P and
+    `quant` (bucket size, bit widths) alone: one row per worker, any lr and
+    seed give the same one."""
+    return _sim(layers, P, P, 0.05, quant, 0).train_step(0)[1]
+
+
 def cmd_bandwidth_sweep(cfg: dict):
     used: set = set()
-    layers, P, batch, lr, bucket_size, base_net = _sim_common(cfg, used)
+    layers, P, bucket_size, link = _sim_common(cfg, used)
     bandwidths = _take(cfg, used, "bandwidths_gbps", list, check=_positive_list)
     mode = _take(cfg, used, "mode", str, "bits")
-    seed = _take(cfg, used, "seed", int, 0, _non_negative)
-    nets = [
-        dataclasses.replace(base_net, bandwidth_bps=gbps * 1e9) for gbps in bandwidths
-    ]
+    nets = [NetworkModel(gbps * 1e9, *link) for gbps in bandwidths]
     if max(bandwidths) * 1e9 == math.inf:
         raise ArithmeticError(f"bandwidths_gbps: {max(bandwidths)!r} Gbit/s overflows bit/s")
     if mode == "bits":
@@ -421,7 +434,7 @@ def cmd_bandwidth_sweep(cfg: dict):
                   "reducescatter_bits", "step_time_s"]
         rows = []
         for label, quant in labelled:
-            entry = _sim(layers, P, batch, lr, quant, seed).train_step(0)[1]
+            entry = _ledger(layers, P, quant)
             for net in nets:
                 rows.append(
                     [label, net.bandwidth_bps, entry.total_bits, entry.allgather_bits,
@@ -435,7 +448,7 @@ def cmd_bandwidth_sweep(cfg: dict):
     g_ratios = _take(cfg, used, "gradient_ratios", list, check=_positive_list)
     _finish(cfg, used)
     fp32 = QuantConfig(quantize_weights=False, quantize_gradients=False)
-    base = _sim(layers, P, batch, lr, fp32, seed).train_step(0)[1]
+    base = _ledger(layers, P, fp32)
     header = ["label", "bandwidth_bps", "weight_ratio", "gradient_ratio",
               "total_bits", "step_time_s"]
     rows = []

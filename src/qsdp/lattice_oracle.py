@@ -197,7 +197,7 @@ def gradient_quantizer_variance_budget(
         if not g.size:
             raise ValueError("cannot quantize an empty vector")
         groups = _groups(g, size)  # the quantizer's buckets, in order
-        ends = [_ends(x, g)[:2] for x in groups]  # checks every value first
+        ends = [_ends(x, g) for x in groups]  # checks every value first
         exact.append(sum(_flip_error(x, *e, top) for x, e in zip(groups, ends)))
         bounds.append(sum(float(np.sum(np.ptp(x, axis=-1) / top * np.abs(x).sum(axis=-1)))
                           for x in groups))

@@ -297,49 +297,35 @@ def _groups(v, bucket_size):
 def _ends(x, v):
     """Float32-rounded (lo, hi) of each bucket of the group `x` of `v`, floats
     for a 1-D `x` (cheap for the many one-bucket messages), else one entry
-    per row, and the number of live (lo < hi) buckets.  Raises for the
-    first value of `v` that float32 metadata cannot carry (NaN too)."""
+    per row.  Raises for the first value of `v` that float32 metadata cannot
+    carry (NaN too)."""
     if x.ndim == 1:
         lo, hi = np.minimum.reduce(x), np.maximum.reduce(x)
         if not (-_F32_OVERFLOW < lo and hi < _F32_OVERFLOW):  # NaN too
             _reject_untransportable(v)
-        lo, hi = np.array((lo, hi), np.float32).tolist()
-        return lo, hi, int(lo != hi)
+        return np.array((lo, hi), np.float32).tolist()
     ends = np.empty((2, x.shape[0]))
     np.minimum.reduce(x, axis=1, out=ends[0])
     np.maximum.reduce(x, axis=1, out=ends[1])
     if np.count_nonzero(np.abs(ends) < _F32_OVERFLOW) < ends.size:  # NaN too
         _reject_untransportable(v)
-    lo, hi = ends.astype(np.float32).astype(np.float64)
-    return lo, hi, np.count_nonzero(lo != hi)
+    return ends.astype(np.float32).astype(np.float64)
 
 
 def _quantize_pass(v, bucket_size, bit_width, inner, rng):
     """`_code` of each group of the non-empty 1-D float array `v`, quantized
     as one message.
 
-    Every value is checked before anything is drawn.  One call then draws
-    for the live buckets in order, one r ~ U[-1/2, 1/2) per bucket (shift)
-    or one u ~ U[0, 1) per value (uniform_stochastic), which equals drawing
-    bucket by bucket; a degenerate bucket draws nothing.
+    Every value is checked before anything is drawn.  Each group then draws
+    for its buckets in order, one r ~ U[-1/2, 1/2) per bucket (shift) or one
+    u ~ U[0, 1) per value (uniform_stochastic), which equals drawing bucket
+    by bucket.
     """
-    per_value = inner != "shift"
-    # a message no longer than a bucket is one bucket: nothing to split
-    groups = (v,) if v.size <= bucket_size else _groups(v, bucket_size)
-    x = groups[0]
-    lo, hi, live = _ends(x, v)
-    m = split = live * x.shape[-1] if per_value else live
-    if len(groups) > 1:  # the tail, checked before anything is drawn too
-        tail = groups[1]
-        tail_lo, tail_hi, tail_live = _ends(tail, v)
-        m += tail_live * tail.size if per_value else tail_live
-    draws = rng.random(m) if per_value else rng.uniform(-0.5, 0.5, m)
-    if len(groups) == 1:
-        return (_code(x, lo, hi, live, draws, bit_width, inner),)
-    return (
-        _code(x, lo, hi, live, draws[:split], bit_width, inner),
-        _code(tail, tail_lo, tail_hi, tail_live, draws[split:], bit_width, inner),
-    )
+    if v.size <= bucket_size:  # one bucket: nothing to split
+        return (_code(v, *_ends(v, v), rng, bit_width, inner),)
+    groups = _groups(v, bucket_size)
+    ends = [_ends(x, v) for x in groups]  # checks every value first
+    return tuple(_code(x, *e, rng, bit_width, inner) for x, e in zip(groups, ends))
 
 
 def _code_dtype(bit_width: int) -> np.dtype:
@@ -347,45 +333,37 @@ def _code_dtype(bit_width: int) -> np.dtype:
     return np.dtype("<u1" if bit_width <= 8 else "<u2" if bit_width <= 16 else "<u4")
 
 
-def _code(x, lo, hi, live, draws, bit_width, inner):
-    """(float64 codes, shift, lo, hi) of the group `x` from its `_ends` (lo,
-    hi and the `live` bucket count) and `draws`, as `_values` takes them.
+def _code(x, lo, hi, rng, bit_width, inner):
+    """(float64 codes, shift, lo, hi) of the group `x` from its `_ends` lo and
+    hi, drawing from `rng`, as `_values` takes them.
 
-    A live bucket scales to a = (x - lo) * top / span and rounds to
-    rint(a - r) with its draw r (shift), or to floor(a + u) with a draw u
-    per value (uniform_stochastic), then clips to [0, top]; its shift is the
-    float32-exact r * span / top, or 0.  A degenerate bucket keeps all-zero
-    codes and a zero shift.
+    A bucket scales to a = (x - lo) * top / span, or to 0 if span is 0, and
+    rounds to rint(a - r) with its draw r (shift), or to floor(a + u) with a
+    draw u per value (uniform_stochastic), then clips to [0, top]; its shift
+    is the float32-exact r * span / top + 0.0, or 0.  So a degenerate bucket
+    draws as any other, and gets all-zero codes and a +0.0 shift.
     """
-    if x.ndim == 1:
-        if not live:
-            return np.zeros(x.size), 0.0, lo, hi
-        y, l, span, d = x, lo, hi - lo, draws if inner != "shift" else draws[0]
-    else:
-        mask = None if live == len(x) else lo != hi  # all live: views, no scatter
-        y, l, h = (x, lo, hi) if mask is None else (x[mask], lo[mask], hi[mask])
-        l, span = l[:, None], (h - l)[:, None]
-        d = draws.reshape(span.shape if inner == "shift" else y.shape)
     top = (1 << bit_width) - 1
-    a = y - l
-    a *= top / span
+    if x.ndim == 1:
+        span = hi - lo
+        a = x - lo
+        a *= top / span if span else 0.0
+    else:
+        span = (hi - lo)[:, None]
+        a = x - lo[:, None]
+        a *= np.divide(top, span, out=np.zeros(span.shape), where=span > 0)
     if inner == "shift":
-        shift = (d * span / top).astype(np.float32).astype(np.float64)
-        shift_round(a, d, 1, out=a)
+        r = rng.uniform(-0.5, 0.5) if x.ndim == 1 else rng.uniform(-0.5, 0.5, span.shape)
+        shift = np.float32(r * span / top + 0.0).astype(np.float64)  # never -0.0
+        shift_round(a, r, 1, out=a)
     else:
         shift = 0.0
-        flip_round(a, d)
+        flip_round(a, rng.random(x.shape))
     np.maximum(a, 0.0, out=a)  # np.clip without its per-call overhead
     codes = np.minimum(a, top, out=a)
     if x.ndim == 1:
         return codes, float(shift), lo, hi
-    shift = shift[:, 0] if inner == "shift" else np.zeros(len(span))
-    if mask is not None:  # degenerate rows keep all-zero codes and shifts
-        codes, live_codes = np.zeros(x.shape), codes
-        codes[mask] = live_codes
-        shift, live_shift = np.zeros(len(x)), shift
-        shift[mask] = live_shift
-    return codes, shift, lo, hi
+    return codes, shift[:, 0] if inner == "shift" else np.zeros(len(x)), lo, hi
 
 
 def quantize_segment(
@@ -404,8 +382,8 @@ def quantize_segment(
     Either way the segment decodes from its own fields alone.  A degenerate
     bucket (all values equal) gets all-zero codes and decodes to the constant
     exactly.  Every value is checked before anything is drawn, and the
-    buckets draw from `rng` in order, so the result equals quantizing them
-    one at a time from the same generator.
+    buckets, degenerate ones too, draw from `rng` in order, so the result
+    equals quantizing them one at a time from the same generator.
     """
     v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:

@@ -43,7 +43,6 @@ CONFIGS = {
         "mode": "bits",
         "layers": [16, 16, 4],
         "P": 2,
-        "batch": 8,
         "bandwidths_gbps": [10, 100],
         "compute_time_s": 0.0,
         "configs": [
@@ -217,7 +216,6 @@ def test_table6_grid_monotone(tmp_path):
         "mode": "ratios",
         "layers": [32, 64, 16],
         "P": 2,
-        "batch": 8,
         "bandwidths_gbps": [1],
         "compute_time_s": 0.0001,
         "weight_ratios": [1, 2, 4, 8],
@@ -335,7 +333,6 @@ MALFORMED = [
     ("converge", {"benchmark_seed": -1}, "benchmark_seed"),
     ("train-sim", {"seeds": [0, -1]}, "seeds"),
     ("quant-stats", {"seed": -1}, "seed"),
-    ("bandwidth-sweep", {"seed": -1}, "seed"),
     ("learn-levels", {"seed": -1}, "seed"),
 ]
 
@@ -359,6 +356,20 @@ def test_converge_rejects_its_removed_sampling_fields(tmp_path, capsys, field, v
     cfg_path = _write(tmp_path, "converge", dict(CONFIGS["converge"], **{field: value}))
     out = tmp_path / "out.csv"
     rc = main(["converge", "--config", cfg_path, "--out", str(out), "--no-timestamp"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"qsdp: config error: unknown field(s): {field}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value", [("batch", 8), ("lr", 0.05), ("seed", 0), ("bandwidth_bps", 1e9)]
+)
+def test_bandwidth_sweep_rejects_the_fields_its_ledger_does_not_read(
+    tmp_path, capsys, field, value
+):
+    cfg_path = _write(tmp_path, "bw", dict(CONFIGS["bandwidth-sweep"], **{field: value}))
+    out = tmp_path / "out.csv"
+    rc = main(["bandwidth-sweep", "--config", cfg_path, "--out", str(out), "--no-timestamp"])
     assert rc == 2
     assert capsys.readouterr().err == f"qsdp: config error: unknown field(s): {field}\n"
     assert not out.exists()
@@ -443,6 +454,11 @@ EXTREME_SIZES = {
     "quant-stats-sparsity_dim-matrix": ("quant-stats", {"sparsity_dim": 10**6}, "sparsity_dim"),
     "quant-stats-samples": ("quant-stats", {"samples": 10**10}, "samples"),
     "quant-stats-num_scalars": ("quant-stats", {"num_scalars": 10**10}, "num_scalars"),
+    # each array fits; the draws of the loops over them do not
+    "quant-stats-num_scalars-draws": ("quant-stats", {"num_scalars": 10**7}, "num_scalars"),
+    "quant-stats-sparsity_vectors": (
+        "quant-stats", {"sparsity_vectors": 10**7}, "sparsity_vectors"
+    ),
     "learn-levels-passes": ("learn-levels", {"passes": 10**9}, "passes"),
     "learn-levels-num_values": ("learn-levels", {"num_values": 10**10}, "num_values"),
     "converge-diagonal-wide": (
@@ -484,6 +500,10 @@ AT_BUDGET = [
     ("learn-levels", "num_values", {"num_values": 5000}, {"num_values": 5001},
      "MAX_ELEMENTS", 5000),
     ("learn-levels", "passes", {"passes": 2}, {"passes": 3}, "MAX_ITERATIONS", 2 * 5000),
+    ("quant-stats", "num_scalars", {"num_scalars": 4, "sparsity_dim": 1},
+     {"num_scalars": 5, "sparsity_dim": 1}, "MAX_ITERATIONS", 2 * 4 * 20000),
+    ("quant-stats", "sparsity_vectors", {"sparsity_vectors": 2, "samples": 1},
+     {"sparsity_vectors": 3, "samples": 1}, "MAX_ITERATIONS", 2 * 2 * 4000 * 32),
     ("converge", "diagonal", {}, {"diagonal": [1.0, 2.0, 3.0], "x0": [1.0] * 3},
      "MAX_ELEMENTS", 2 * 2),
 ]

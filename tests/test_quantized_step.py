@@ -43,10 +43,9 @@ def _oracle_quantizer(g, bucket_size, bit_width, rng):
     for start in range(0, g.size, bucket_size):
         seg = g[start : start + bucket_size]
         lo, hi = float(np.float32(seg.min())), float(np.float32(seg.max()))
-        codes = np.zeros(seg.size)
-        if lo != hi:
-            scaled = (seg - lo) * (top / (hi - lo))
-            codes = np.clip(np.floor(scaled + rng.random(seg.size)), 0, top)
+        # a degenerate bucket (lo == hi) scales by 0 and draws as any other
+        scaled = (seg - lo) * (top / (hi - lo) if hi > lo else 0.0)
+        codes = np.clip(np.floor(scaled + rng.random(seg.size)), 0, top)
         values.append(lo + codes.astype(np.uint32) * ((hi - lo) / top) + 0.0)
         bits += 12 * 8 + 8 * ((seg.size * bit_width + 7) // 8)
     return np.concatenate(values), bits

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsdp.optimizer import UniformStochasticGradientQuantizer
@@ -46,15 +46,14 @@ def _oracle_bucket(values, bit_width, inner, rng):
     """(codes, shift, scale_lo, scale_hi) of one bucket."""
     lo = float(np.float32(values.min()))
     hi = float(np.float32(values.max()))
-    if lo == hi:
-        return np.zeros(values.size, dtype=np.uint32), 0.0, lo, hi
     top = (1 << bit_width) - 1
-    scaled = (values - lo) * (top / (hi - lo))
+    # a degenerate bucket (lo == hi) scales by 0 and draws as any other
+    scaled = (values - lo) * (top / (hi - lo) if hi > lo else 0.0)
     shift = 0.0
     if inner == "shift":
         r = float(rng.uniform(-0.5, 0.5))
         codes = np.clip(np.round(scaled - r), 0, top)
-        shift = float(np.float32(r * (hi - lo) / top))
+        shift = float(np.float32(r * (hi - lo) / top)) + 0.0  # never -0.0
     else:
         codes = np.clip(np.floor(scaled + rng.random(values.size)), 0, top)
     return codes.astype(np.uint32), shift, lo, hi
@@ -406,3 +405,87 @@ def test_a_bad_value_is_rejected_before_anything_is_drawn(call, bucket, index, b
     with pytest.raises(ValueError, match=pattern.format(index)):
         call(v, bucket, rng)
     assert rng.bit_generator.state == state
+
+
+# -- the draw count follows from the layout alone -------------------------------
+
+# (name, the inner modes it takes, call) for each codec entry point
+_DRAWING_CALLS = [
+    ("quantize_segment", INNERS,
+     lambda v, b, bits, inner, rng: quantize_segment(v, b, bits, inner, rng)),
+    ("roundtrip", INNERS, lambda v, b, bits, inner, rng: _roundtrip(v, b, bits, inner, rng)),
+    ("bucketed_quantize", INNERS,
+     lambda v, b, bits, inner, rng: bucketed_quantize(v, BucketSpec(b), bits, inner, rng)),
+    ("quantize_bucket", INNERS,
+     lambda v, b, bits, inner, rng: quantize_bucket(v[:b], bits, inner, rng)),
+    ("gradient-quantizer", ("uniform_stochastic",),
+     lambda v, b, bits, inner, rng: UniformStochasticGradientQuantizer(
+         bits, BucketSpec(b))(v, rng)),
+]
+
+
+@st.composite
+def _layouts(draw):
+    """(values, bucket size, bit width, generator seed): a message with
+    constant runs, which make some buckets degenerate, and often a tail."""
+    n = draw(st.integers(1, 200))
+    bucket = draw(st.one_of(st.integers(1, 40), st.integers(n, n + 8)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    v = np.random.default_rng(seed).standard_normal(n)
+    for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                 st.integers(1, 2 * bucket)), max_size=3)):
+        v[start : start + length] = v[start]
+    return v, bucket, draw(st.integers(1, 16)), seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_layouts())
+@example((np.array([2.0, 2, 2, 2, 0, 0.7, 1.9, 3]), 4, 2, 0))  # a degenerate first bucket
+@example((np.array([0.0, 0.7, 1.9, 3, 2, 2]), 4, 2, 0))  # a degenerate tail
+def test_every_bucket_draws_whatever_the_values(layout):
+    """A message draws one u per value (uniform_stochastic) or one r per
+    bucket, the tail included (shift): the count depends on the layout, not
+    on which buckets are degenerate."""
+    v, bucket, bits, seed = layout
+    for name, inners, call in _DRAWING_CALLS:
+        n = min(bucket, v.size) if name == "quantize_bucket" else v.size
+        for inner in inners:
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            call(v, bucket, bits, inner, rng)
+            twin.random(n if inner == "uniform_stochastic" else -(-n // bucket))
+            assert rng.bit_generator.state == twin.bit_generator.state, (name, inner)
+
+
+def test_numpy_streams_the_codec_draws_from():
+    """The installed numpy gives the stream facts that let each group of a
+    message draw for itself: a scalar draw is the first of an array draw,
+    a (k, s) draw is k * s draws in row order, and two draws in a row are
+    one draw of both."""
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    assert a.uniform(-0.5, 0.5) == b.uniform(-0.5, 0.5, 1)[0]
+    assert np.array_equal(a.random((3, 5)), b.random(15).reshape(3, 5))
+    assert np.array_equal(np.concatenate([a.random(4), a.random(2)]), b.random(6))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+# The declared change of the draw count (README, Determinism): the degenerate
+# first bucket of this message draws as a live one, so the second bucket's
+# draws and the generator's next value moved.
+_DEGENERATE_FIRST = {
+    "shift": ([0, 1, 2, 3], -0.23021328449249268, 0.04097352393619469),
+    "uniform_stochastic": ([0, 1, 2, 3], 0.0, 0.5436249914654229),
+}
+
+
+@pytest.mark.parametrize("inner", INNERS)
+def test_a_degenerate_bucket_draws_as_a_live_one(inner):
+    codes, shift, next_draw = _DEGENERATE_FIRST[inner]
+    rng = np.random.default_rng(0)
+    seg = quantize_segment([2.0, 2, 2, 2, 0, 0.7, 1.9, 3], 4, 2, inner, rng)
+    assert seg.rows.tolist() == [[0, 0, 0, 0], codes]
+    assert seg.shift.tolist() == [0.0, shift]
+    assert rng.random() == next_draw
+    # the first bucket sends codes 0 and shift +0.0, and decodes to its constant
+    data = encode_segment(seg)
+    assert data[14:18] == struct.pack("<f", 0.0)
+    assert dequantize_segment(decode_segment(data))[:4].tolist() == [2.0] * 4

@@ -306,18 +306,29 @@ class TestQuantizedTransport:
 
 
 class TestScratchBuffers:
-    def test_steady_step_allocates_less_than_one_dense_layer(self):
-        widths = (256, 512, 512, 64)
-        quant = QuantConfig(quantize_weights=False, quantize_gradients=False)
-        sim = _sim(P=4, quant=quant, widths=widths, batch=32)
+    DENSE_LAYER_BYTES = 512 * 512 * 8  # one 512x512 float64 layer
+
+    @staticmethod
+    def _steady_step_peak(quant):
+        """tracemalloc peak of a warm (256, 512, 512, 64) P=4 step."""
+        sim = _sim(P=4, quant=quant, widths=(256, 512, 512, 64), batch=32)
         sim.train_step(0)  # warm-up sizes the scratch
         tracemalloc.start()
         try:
             sim.train_step(1)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < widths[1] * widths[2] * 8  # one 512x512 float64 layer
+
+    def test_steady_step_allocates_less_than_one_dense_layer(self):
+        quant = QuantConfig(quantize_weights=False, quantize_gradients=False)
+        assert self._steady_step_peak(quant) < self.DENSE_LAYER_BYTES
+
+    def test_steady_quantized_step_allocates_less_than_one_and_a_half_dense_layers(self):
+        # w8g8 peaks at 0.90 of a layer with numpy 2.4 on x86-64; the margin
+        # leaves room for other numpy versions
+        quant = QuantConfig(weight_bits=8, gradient_bits=8)
+        assert self._steady_step_peak(quant) < 1.5 * self.DENSE_LAYER_BYTES
 
     @staticmethod
     def _pair():
