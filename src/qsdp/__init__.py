@@ -37,7 +37,6 @@ from .sharded import (
     LayerSpec,
     NetworkModel,
     QuantConfig,
-    ReferenceMLP,
     ShardedMLP,
     SimConfig,
     simulate_step_time,

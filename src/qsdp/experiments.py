@@ -15,6 +15,8 @@ from .problems import quadratic_problem
 from .quantize import (
     BucketSpec,
     LevelTable,
+    _groups,
+    _layout,
     learn_levels,
     quantize_with_levels,
     shift_round,
@@ -333,6 +335,24 @@ def _sim_common(cfg: dict, used: set):
     return layers, P, bucket_size, (latency, compute, overlap)
 
 
+def _sim_budget(layers, P, batch, batch_field, steps, steps_field):
+    """Refuse a simulation of `steps` steps whose arrays exceed MAX_ELEMENTS
+    or whose shard messages exceed MAX_ITERATIONS, naming the field.
+
+    A step holds each dense layer whole and (batch, max(layers)) activations,
+    and each dense+bias pair's reduce-scatters send 2P(P - 1) shard messages,
+    so a step's work is counted as (len(layers) - 1) x P^2 messages."""
+    for fan_in, fan_out in zip(layers, layers[1:]):
+        _budget("layers", fan_in * fan_out, MAX_ELEMENTS, "array elements in a dense layer")
+    _budget(batch_field, batch * max(layers), MAX_ELEMENTS,
+            f"array elements in the ({batch_field}, max(layers)) activations")
+    messages = (len(layers) - 1) * P * P
+    _budget("P", messages, MAX_ITERATIONS,
+            "shard messages in one step ((len(layers) - 1) x P^2)")
+    _budget(steps_field, steps * messages, MAX_ITERATIONS,
+            f"shard messages ({steps} simulated steps x (len(layers) - 1) x P^2)")
+
+
 def cmd_train_sim(cfg: dict):
     used: set = set()
     layers, P, bucket_size, link = _sim_common(cfg, used)
@@ -346,6 +366,7 @@ def cmd_train_sim(cfg: dict):
     _finish(cfg, used)
     if batch % P:
         raise ConfigError(f"batch: {batch} does not divide across P={P} workers")
+    _sim_budget(layers, P, batch, "batch", steps * len(seeds), "steps")
 
     network = NetworkModel(bandwidth, *link)
     quant = _quant_from_bits(bit_widths, bucket_size, "bit_widths")
@@ -423,6 +444,7 @@ def cmd_bandwidth_sweep(cfg: dict):
         _finish(cfg, used)
         if not configs:
             raise ConfigError("configs: must be non-empty")
+        _sim_budget(layers, P, P, "P", len(configs), "configs")
         labelled = []
         for conf in configs:
             if not isinstance(conf, dict) or "label" not in conf:
@@ -447,6 +469,7 @@ def cmd_bandwidth_sweep(cfg: dict):
     w_ratios = _take(cfg, used, "weight_ratios", list, check=_positive_list)
     g_ratios = _take(cfg, used, "gradient_ratios", list, check=_positive_list)
     _finish(cfg, used)
+    _sim_budget(layers, P, P, "P", 1, "P")
     fp32 = QuantConfig(quantize_weights=False, quantize_gradients=False)
     base = _ledger(layers, P, fp32)
     header = ["label", "bandwidth_bps", "weight_ratio", "gradient_ratio",
@@ -486,22 +509,20 @@ def learned_vs_uniform_error(
     quantization on the original scale.
     """
     values = np.asarray(values, dtype=float)
-    spans = []
-    normalized = np.empty_like(values)
-    for start in range(0, values.size, bucket_size):
-        seg = values[start : start + bucket_size]
-        lo, hi = seg.min(), seg.max()
-        spans.append((start, seg.size, lo, hi))
-        normalized[start : start + seg.size] = (
-            (seg - lo) / (hi - lo) if hi > lo else 0.0
-        )
+    size = _layout(values.size, bucket_size)[0]
+    starts = np.arange(0, values.size, size)
+    lo = np.minimum.reduceat(values, starts)
+    span = np.maximum.reduceat(values, starts) - lo
+    lo, span = np.repeat(lo, size)[: values.size], np.repeat(span, size)[: values.size]
+    normalized = np.divide(values - lo, span, out=np.zeros_like(values), where=span > 0)
 
     def rel_err(tab):
-        err = 0.0
-        for start, size, lo, hi in spans:
-            u = normalized[start : start + size]
-            recon = lo + tab.levels[quantize_with_levels(u, tab)] * (hi - lo)
-            err += float(((values[start : start + size] - recon) ** 2).sum())
+        recon = lo + tab.levels[quantize_with_levels(normalized, tab)] * span
+        sq = (values - recon) ** 2
+        # summed bucket by bucket, then over the buckets in order, as a
+        # per-bucket loop sums, so the errors do not move in the last bits
+        per_bucket = [np.atleast_1d(x.sum(axis=-1)) for x in _groups(sq, bucket_size)]
+        err = sum(np.concatenate(per_bucket).tolist())
         return math.sqrt(err) / math.sqrt(float((values**2).sum()))
 
     table = LevelTable.uniform(bit_width)

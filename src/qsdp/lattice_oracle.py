@@ -28,63 +28,30 @@ __all__ = [
 MAX_ENUMERATION = 10**8
 
 
-def _separable_argmin(problem: ProblemSpec, delta_star: float, r: float):
-    """Exact per-coordinate lattice minimizer of a diagonal quadratic on
-    delta_star * Z^n + r: each coordinate takes the better of the floor and
-    ceil lattice neighbours of its unconstrained minimizer b_i / a_i, as
-    np.argmin over them would pick."""
-    a = np.diag(problem.matrix)
-    b = problem.linear
-    k_lo = np.floor((b / a - r) / delta_star)
-    x_lo, x_hi = (k * delta_star + r for k in (k_lo, k_lo + 1.0))
-    f_lo, f_hi = (0.5 * a * x**2 - b * x for x in (x_lo, x_hi))
-    up = (f_hi < f_lo) | (np.isnan(f_hi) & ~np.isnan(f_lo))
-    return np.where(up, x_hi, x_lo)
+def brute_force_lattice_min(problem: ProblemSpec, delta_star: float, r: float):
+    """Minimize the objective over the lattice delta_star * Z^n + r * 1 by an
+    exhaustive box search around the known minimizer (n <= 8).
 
-
-def brute_force_lattice_min(
-    problem: ProblemSpec,
-    delta_star: float,
-    r: float,
-    search_radius: float | None = None,
-    mode: str = "auto",
-):
-    """Minimize the objective over the lattice delta_star * Z^n + r * 1.
-
-    Diagonal quadratics use exact coordinate-wise minimization; otherwise an
-    exhaustive box search around the unconstrained minimizer is used (n <= 8).
-    The default radius doubles the PL distance bound
+    The box radius doubles the PL distance bound
     ||x - x*|| <= sqrt(2 (f(x) - f*) / alpha) evaluated at the nearest
     lattice point, which is guaranteed to contain every lattice minimizer.
     """
     if delta_star <= 0:
         raise ValueError("delta_star must be > 0")
-    if mode not in ("auto", "separable", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "separable" if problem.is_diagonal_quadratic() else "exhaustive"
-    if mode == "separable":
-        if not problem.is_diagonal_quadratic():
-            raise ValueError("separable mode requires a diagonal quadratic")
-        best_x = _separable_argmin(problem, delta_star, r)
-        return best_x, problem.objective(best_x)
-
     if problem.minimizer is None or problem.optimal_value is None:
-        raise ValueError("exhaustive mode requires a known minimizer")
+        raise ValueError("the lattice search requires a known minimizer")
     n = problem.dimension
     if n > 8:
-        raise ValueError(f"exhaustive mode supports n <= 8, got n={n}")
+        raise ValueError(f"the lattice search supports n <= 8, got n={n}")
     xhat = problem.minimizer
-    if search_radius is None:
-        near = delta_star * np.round((xhat - r) / delta_star) + r
-        gap = max(problem.objective(near) - problem.optimal_value, 0.0)
-        search_radius = 2.0 * math.sqrt(2.0 * gap / problem.pl_constant)
-        search_radius = max(search_radius, delta_star)
+    near = delta_star * np.round((xhat - r) / delta_star) + r
+    gap = max(problem.objective(near) - problem.optimal_value, 0.0)
+    radius = max(2.0 * math.sqrt(2.0 * gap / problem.pl_constant), delta_star)
     ranges = []
     count = 1
     for i in range(n):
-        lo = math.ceil((xhat[i] - search_radius - r) / delta_star)
-        hi = math.floor((xhat[i] + search_radius - r) / delta_star)
+        lo = math.ceil((xhat[i] - radius - r) / delta_star)
+        hi = math.floor((xhat[i] + radius - r) / delta_star)
         if hi < lo:
             k = round((xhat[i] - r) / delta_star)
             lo = hi = k
@@ -134,8 +101,7 @@ def benchmark_expectation(
         raise ValueError("a non-diagonal problem needs num_r_samples and rng")
     half = delta_star / 2
     rs = rng.uniform(-half, half, num_r_samples)
-    f = np.array([brute_force_lattice_min(problem, delta_star, r, mode="exhaustive")[1]
-                  for r in rs])
+    f = np.array([brute_force_lattice_min(problem, delta_star, r)[1] for r in rs])
     se = float(f.std(ddof=1) / math.sqrt(f.size)) if f.size > 1 else 0.0
     return BenchmarkEstimate(float(f.mean()), se)
 

@@ -21,8 +21,9 @@ quantized collective, keyed by (root seed, step, layer, kind) with kind
 `WEIGHTS` or `GRADIENTS`.  An all-gather's shard messages draw from it in
 shard order; a reduce-scatter's draw worker-major, then in shard order, and
 only the messages that cross to another worker draw.  So any worker count
-replays exactly the same quantization draws as the single-process reference
-implementation, and the two must agree bit for bit.
+replays exactly the same quantization draws as a single-process formulation
+of the same iteration (the tests keep one), and the two must agree bit for
+bit.
 
 A layer's weights are quantized once per step: the forward gather keeps its
 messages' wire bytes, and the backward gather of the same step and layer
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import _roundtrip, dequantize_segment, quantize_segment
+from .quantize import dequantize_segment, quantize_segment
 from .wire import decode_segment, encode_segment
 
 # The per-bucket codec stays bound here for code that looks it up on this
@@ -83,7 +84,6 @@ __all__ = [
     "init_mlp_params",
     "make_batch",
     "ShardedMLP",
-    "ReferenceMLP",
     "PHASE_W_FWD",
     "PHASE_W_BWD",
     "WEIGHTS",
@@ -294,7 +294,10 @@ class SimConfig:
 
 
 class ShardedMLP:
-    """The P-worker protocol simulation with exact transport accounting."""
+    """The P-worker protocol simulation with exact transport accounting.
+
+    `train_step` returns the step's loss and its `LedgerEntry`; the model
+    keeps no per-step history."""
 
     def __init__(self, config: SimConfig):
         self.cfg = config
@@ -310,7 +313,6 @@ class ShardedMLP:
                     RuntimeWarning,
                 )
             self.bounds[layer.name] = shard_bounds(layer.size, config.P)
-        self.ledger: list[LedgerEntry] = []
         self._pairs = len(config.widths) - 1
         self._scratch: dict[tuple[str, str], np.ndarray] = {}
         # (step, layer index) -> the forward gather's wire bytes, one per shard
@@ -476,117 +478,8 @@ class ShardedMLP:
         dzs = e / rows
         for i in range(self._pairs - 1, -1, -1):
             dzs = self.backward_layer(step, i, inputs[i], dzs, entry)
-
-        self.ledger.append(entry)
         return loss, entry
-
-    def run(self, steps: int) -> list[float]:
-        return [self.train_step(t)[0] for t in range(steps)]
 
     def full_params(self) -> dict[str, np.ndarray]:
         """A copy of every layer; later steps leave it unchanged."""
         return {name: flat.copy() for name, flat in self.params.items()}
-
-
-class ReferenceMLP:
-    """Single-process execution of the same quantized iteration.
-
-    Holds full tensors, replays the identical quantization draws of each
-    collective, quantizes each layer's weights once per step, and performs no
-    transport.  Used as the bit-exact comparison target for the sharded
-    simulation.
-    """
-
-    def __init__(self, config: SimConfig):
-        self.cfg = config
-        self.quant = config.quant
-        self.layers = mlp_layer_specs(list(config.widths))
-        self.params = {
-            k: np.asarray(v, dtype=float).copy()
-            for k, v in init_mlp_params(list(config.widths), config.param_seed).items()
-        }
-        self._pairs = len(config.widths) - 1
-
-    def _quantized_view(self, step, layer_idx):
-        """The layer as every worker reconstructs it from the all-gather."""
-        layer = self.layers[layer_idx]
-        flat = self.params[layer.name]
-        if not (layer.kind == "dense" and self.quant.quantize_weights):
-            return flat.copy()
-        size, bits = self.quant.bucket_size, self.quant.weight_bits
-        rng = bucket_rng(self.cfg.root_seed, step, layer_idx, WEIGHTS)
-        return np.concatenate([
-            _roundtrip(flat[s:e], size, bits, "shift", rng)
-            for s, e in shard_bounds(flat.size, self.cfg.P) if e > s
-        ])
-
-    def _averaged_gradient(self, step, layer_idx, per_worker_grads):
-        """Each owner's average of the workers' shards of its slice.
-
-        A shard that crosses to another worker goes through the codec,
-        worker-major and then in shard order; an owner's own shard is exact."""
-        layer = self.layers[layer_idx]
-        P = self.cfg.P
-        bounds = shard_bounds(layer.size, P)
-        sent = [[g[s:e] for s, e in bounds] for g in per_worker_grads]  # [p][q]
-        if layer.kind == "dense" and self.quant.quantize_gradients:
-            rng = bucket_rng(self.cfg.root_seed, step, layer_idx, GRADIENTS)
-            for p, row in enumerate(sent):
-                for q, seg in enumerate(row):
-                    if q != p and seg.size:
-                        row[q] = _roundtrip(seg, self.quant.bucket_size,
-                                            self.quant.gradient_bits,
-                                            "uniform_stochastic", rng)
-        segments = []
-        for q in range(P):
-            acc = np.zeros(sent[0][q].size)
-            for p in range(P):
-                acc = acc + sent[p][q]
-            segments.append(acc / P)
-        return np.concatenate(segments)
-
-    def train_step(self, step: int) -> float:
-        cfg = self.cfg
-        data_step = 0 if cfg.fixed_batch else step
-        x, y = make_batch(list(cfg.widths), cfg.batch, cfg.data_seed, data_step)
-        rows = cfg.batch // cfg.P
-        xs = [x[p * rows : (p + 1) * rows] for p in range(cfg.P)]
-        ys = [y[p * rows : (p + 1) * rows] for p in range(cfg.P)]
-
-        inputs, outputs, ws = [], [], []
-        hs = xs
-        for i in range(self._pairs):
-            w = self._quantized_view(step, 2 * i).reshape(self.layers[2 * i].shape)
-            b = self._quantized_view(step, 2 * i + 1)
-            ws.append(w)  # the backward computes at the same quantized point
-            inputs.append(hs)
-            zs = [h @ w + b for h in hs]
-            outs = [z if i == self._pairs - 1 else np.tanh(z) for z in zs]
-            outputs.append(outs)
-            hs = outs
-
-        losses = [
-            float(((hs[p] - ys[p]) ** 2).sum() / (2 * rows)) for p in range(cfg.P)
-        ]
-        dzs = [(hs[p] - ys[p]) / rows for p in range(cfg.P)]
-        for i in range(self._pairs - 1, -1, -1):
-            w = ws[i]
-            dw = [(inputs[i][p].T @ dzs[p]).ravel() for p in range(cfg.P)]
-            db = [dzs[p].sum(axis=0) for p in range(cfg.P)]
-            new_dzs = None
-            if i > 0:
-                new_dzs = [
-                    (dzs[p] @ w.T) * (1.0 - outputs[i - 1][p] ** 2)
-                    for p in range(cfg.P)
-                ]
-            self.params[f"dense{i}"] -= cfg.lr * self._averaged_gradient(
-                step, 2 * i, dw
-            )
-            self.params[f"bias{i}"] -= cfg.lr * self._averaged_gradient(
-                step, 2 * i + 1, db
-            )
-            dzs = new_dzs
-        return float(np.mean(losses))
-
-    def run(self, steps: int) -> list[float]:
-        return [self.train_step(t) for t in range(steps)]

@@ -465,6 +465,13 @@ EXTREME_SIZES = {
         "converge", {"diagonal": [1.0] * _WIDE, "linear": [0.0] * _WIDE, "x0": [1.0] * _WIDE},
         "diagonal",
     ),
+    "train-sim-layers": ("train-sim", {"layers": [200_000, 200_000]}, "layers"),
+    "train-sim-batch": ("train-sim", {"batch": 4 * 10**8}, "batch"),
+    # the activations fit; one step's shard messages do not
+    "train-sim-P": ("train-sim", {"P": 10**6, "batch": 10**6}, "P"),
+    "train-sim-steps": ("train-sim", {"steps": 10**9}, "steps"),
+    "bandwidth-sweep-layers": ("bandwidth-sweep", {"layers": [200_000, 200_000]}, "layers"),
+    "bandwidth-sweep-P": ("bandwidth-sweep", {"P": 10**6}, "P"),
 }
 
 
@@ -506,6 +513,13 @@ AT_BUDGET = [
      {"sparsity_vectors": 3, "samples": 1}, "MAX_ITERATIONS", 2 * 2 * 4000 * 32),
     ("converge", "diagonal", {}, {"diagonal": [1.0, 2.0, 3.0], "x0": [1.0] * 3},
      "MAX_ELEMENTS", 2 * 2),
+    ("train-sim", "layers", {}, {"layers": [16, 17, 4]}, "MAX_ELEMENTS", 16 * 16),
+    ("train-sim", "batch", {"batch": 16}, {"batch": 18}, "MAX_ELEMENTS", 16 * 16),
+    ("train-sim", "steps", {}, {"steps": 6}, "MAX_ITERATIONS", 5 * 2 * 2**2),
+    ("train-sim", "P", {"steps": 1, "batch": 6}, {"steps": 1, "batch": 6, "P": 3},
+     "MAX_ITERATIONS", 2 * 2**2),
+    ("bandwidth-sweep", "layers", {}, {"layers": [16, 17, 4]}, "MAX_ELEMENTS", 16 * 16),
+    ("bandwidth-sweep", "P", {}, {"P": 3}, "MAX_ITERATIONS", 2 * 2 * 2**2),
 ]
 
 

@@ -27,29 +27,17 @@ class TestBruteForce:
         assert x[0] == pytest.approx(0.3)
         assert f == pytest.approx(0.045)
 
-    def test_separable_matches_exhaustive(self):
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            diag = rng.uniform(0.5, 4.0, 3)
-            b = rng.uniform(-1, 1, 3)
-            p = quadratic_problem(np.diag(diag), b)
-            r = float(rng.uniform(-0.25, 0.25))
-            xs, fs = brute_force_lattice_min(p, 0.5, r, mode="separable")
-            xe, fe = brute_force_lattice_min(p, 0.5, r, mode="exhaustive")
-            assert fs == pytest.approx(fe, abs=1e-12)
-            assert np.allclose(xs, xe)
-
     def test_enumeration_size_guard(self):
-        p = quadratic_problem(np.eye(8))
+        # one stiff coordinate makes the PL box ~200 points wide per coordinate
+        a = np.array([1.0] * 7 + [1e4])
+        p = quadratic_problem(np.diag(a), a * 0.25)
         with pytest.raises(ValueError, match="enumeration"):
-            brute_force_lattice_min(
-                p, 1e-3, 0.0, search_radius=10.0, mode="exhaustive"
-            )
+            brute_force_lattice_min(p, 0.5, 0.0)
 
     def test_dimension_guard(self):
         p = quadratic_problem(np.eye(9))
         with pytest.raises(ValueError, match="n <= 8"):
-            brute_force_lattice_min(p, 0.5, 0.0, mode="exhaustive")
+            brute_force_lattice_min(p, 0.5, 0.0)
 
 
 def _one_shot_benchmark(problem, delta_star, num_r_samples, rng):
@@ -95,7 +83,7 @@ class TestBenchmark:
             benchmark_expectation(p, 0.5)
         est = benchmark_expectation(p, 0.5, 200, np.random.default_rng(8))
         rs = np.random.default_rng(8).uniform(-0.25, 0.25, 200)
-        f = [brute_force_lattice_min(p, 0.5, r, mode="exhaustive")[1] for r in rs]
+        f = [brute_force_lattice_min(p, 0.5, r)[1] for r in rs]
         assert est.mean == float(np.mean(f))
         assert est.standard_error == float(np.std(f, ddof=1) / math.sqrt(200))
 

@@ -1,10 +1,10 @@
 """The gradient quantizer, the variance budget and the QSDP iteration against
 copies of the code paths they replaced.
 
-The quantizer runs one segment message per gradient; the oracles below are
-the per-bucket quantize, dequantize and size loop it must match value for
-value, bit count for bit count and draw for draw.  The variance budget's
-closed form is checked against sampled codec realizations.
+The quantizer runs one segment message per gradient; it must match the
+per-bucket codec loop (`oracles._oracle_message`) and the block-list path
+below value for value, bit count for bit count and draw for draw.  The
+variance budget's closed form is checked against sampled codec realizations.
 """
 
 import math
@@ -33,22 +33,9 @@ from qsdp.quantize import (
 )
 from qsdp.wire import encode_segment, message_size_bits
 
+from oracles import _oracle_message
+
 # -- oracles --------------------------------------------------------------------
-
-
-def _oracle_quantizer(g, bucket_size, bit_width, rng):
-    """(values, bits) of the per-bucket uniform stochastic quantizer."""
-    top = (1 << bit_width) - 1
-    values, bits = [], 14 * 8
-    for start in range(0, g.size, bucket_size):
-        seg = g[start : start + bucket_size]
-        lo, hi = float(np.float32(seg.min())), float(np.float32(seg.max()))
-        # a degenerate bucket (lo == hi) scales by 0 and draws as any other
-        scaled = (seg - lo) * (top / (hi - lo) if hi > lo else 0.0)
-        codes = np.clip(np.floor(scaled + rng.random(seg.size)), 0, top)
-        values.append(lo + codes.astype(np.uint32) * ((hi - lo) / top) + 0.0)
-        bits += 12 * 8 + 8 * ((seg.size * bit_width + 7) // 8)
-    return np.concatenate(values), bits
 
 
 def _block_path_quantizer(g, bucket, bit_width, rng):
@@ -111,12 +98,15 @@ def test_quantizer_matches_the_per_bucket_path(case):
     ghat, nbits = quantizer(g, rng)
     seg = quantize_segment(g, bucket, bits, "uniform_stochastic", np.random.default_rng(seed))
     assert nbits == 8 * len(encode_segment(seg))
-    for oracle in (
-        lambda r: _oracle_quantizer(g, min(bucket, g.size), bits, r),
-        lambda r: _block_path_quantizer(g, BucketSpec(bucket), bits, r),
+    oracle_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    data, want = _oracle_message(
+        g, min(bucket, g.size), bits, "uniform_stochastic", oracle_rng
+    )
+    block_want, block_bits = _block_path_quantizer(g, BucketSpec(bucket), bits, block_rng)
+    for want, want_bits, ref_rng in (
+        (want, 8 * len(data), oracle_rng),
+        (block_want, block_bits, block_rng),
     ):
-        ref_rng = np.random.default_rng(seed)
-        want, want_bits = oracle(ref_rng)
         assert ghat.tobytes() == want.tobytes()
         assert nbits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,9 +1,9 @@
 """The segment codec against a per-bucket oracle, and the decoder's input
 checks.
 
-The oracle below is the per-bucket quantize, encode and dequantize loop the
-segment codec replaced, kept here so the comparison does not depend on the
-code under test.
+The oracle (`oracles._oracle_bucket` and `_oracle_message`) is the
+per-bucket quantize, encode and dequantize loop the segment codec replaced,
+kept apart so the comparison does not depend on the code under test.
 """
 
 import struct
@@ -36,44 +36,9 @@ from qsdp.wire import (
     encode_segment,
 )
 
+from oracles import _oracle_bucket, _oracle_message
+
 INNERS = ("shift", "uniform_stochastic")
-
-
-# -- the per-bucket oracle ------------------------------------------------------
-
-
-def _oracle_bucket(values, bit_width, inner, rng):
-    """(codes, shift, scale_lo, scale_hi) of one bucket."""
-    lo = float(np.float32(values.min()))
-    hi = float(np.float32(values.max()))
-    top = (1 << bit_width) - 1
-    # a degenerate bucket (lo == hi) scales by 0 and draws as any other
-    scaled = (values - lo) * (top / (hi - lo) if hi > lo else 0.0)
-    shift = 0.0
-    if inner == "shift":
-        r = float(rng.uniform(-0.5, 0.5))
-        codes = np.clip(np.round(scaled - r), 0, top)
-        shift = float(np.float32(r * (hi - lo) / top)) + 0.0  # never -0.0
-    else:
-        codes = np.clip(np.floor(scaled + rng.random(values.size)), 0, top)
-    return codes.astype(np.uint32), shift, lo, hi
-
-
-def _oracle_message(v, bucket_size, bit_width, inner, rng):
-    """Wire v1 bytes and dequantized values of the per-bucket loop."""
-    blocks = [
-        _oracle_bucket(v[i : i + bucket_size], bit_width, inner, rng)
-        for i in range(0, v.size, bucket_size)
-    ]
-    out = [struct.pack("<BBIII", 1, bit_width, blocks[0][0].size, len(blocks), v.size)]
-    values = []
-    for codes, shift, lo, hi in blocks:
-        out.append(struct.pack("<fff", shift, lo, hi))
-        planes = (codes[:, None] >> np.arange(bit_width, dtype=np.uint32)) & 1
-        packed = np.packbits(planes.astype(np.uint8).ravel(), bitorder="little")
-        out.append(packed.tobytes())
-        values.append(lo + codes * ((hi - lo) / ((1 << bit_width) - 1)) + shift)
-    return b"".join(out), np.concatenate(values)
 
 
 @st.composite

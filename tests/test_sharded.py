@@ -16,7 +16,6 @@ from qsdp.sharded import (
     LedgerEntry,
     NetworkModel,
     QuantConfig,
-    ReferenceMLP,
     ShardedMLP,
     SimConfig,
     init_mlp_params,
@@ -27,6 +26,8 @@ from qsdp.sharded import (
     step_time_terms,
 )
 from qsdp.wire import segment_size_bits
+
+from oracles import ReferenceMLP
 
 WIDTHS = (64, 64, 10)
 
@@ -330,6 +331,20 @@ class TestScratchBuffers:
         quant = QuantConfig(weight_bits=8, gradient_bits=8)
         assert self._steady_step_peak(quant) < 1.5 * self.DENSE_LAYER_BYTES
 
+    def test_memory_stays_flat_over_steps(self):
+        # the shipped train-sim model (w8g8); a warm step keeps nothing, so
+        # 50 of them retain ~8 KB, where one LedgerEntry alone is ~14 KB
+        sim = _sim(P=4, batch=64)
+        sim.train_step(0)
+        tracemalloc.start()
+        try:
+            for t in range(1, 51):
+                sim.train_step(t)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+
     @staticmethod
     def _pair():
         # same layer kinds, different sizes, one quantized and one not
@@ -514,7 +529,7 @@ class TestTraining:
                           quant=QuantConfig(), root_seed=seed, param_seed=seed,
                           data_seed=seed, fixed_batch=True)
             )
-            losses = sim.run(50)
+            losses = [sim.train_step(t)[0] for t in range(50)]
             ok += all(b < a for a, b in zip(losses, losses[1:]))
         assert ok >= 0.95 * len(seeds)
 
