@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qsdp.optimizer import UniformStochasticGradientQuantizer
 from qsdp.quantize import (
+    _SCALAR_MAX,
     BucketSpec,
     QuantizedBlock,
     _roundtrip,
@@ -158,7 +159,8 @@ def test_codes_stay_in_range_at_the_ends_of_the_grid(bits, inner, u):
     sum rounds up, a shift r = -1/2 ties top + 1/2 up to top + 1, and a value
     below its float32-rounded minimum scales to a < 0, which floor(a + 0)
     and rint(a - r) at r near 1/2 take to -1.  The codes must be the
-    oracle's, clipped to [0, top] before any cast could wrap them."""
+    oracle's, clipped to [0, top] before any cast could wrap them, and so
+    must the values of a round trip."""
     top = (1 << bits) - 1
     # lo = 0 and span = 1, so the ends scale to a = 0 and a = top exactly;
     # float32(0.1) > 0.1, so 0.1 scales to a just below 0
@@ -167,6 +169,8 @@ def test_codes_stay_in_range_at_the_ends_of_the_grid(bits, inner, u):
         seg = quantize_segment(v, len(v), bits, inner, _FixedDraws(u))
         assert seg.rows[0].tolist() == want.tolist()
         assert seg.rows[0, 0] == 0
+        _, values = _oracle_message(np.array(v), len(v), bits, inner, _FixedDraws(u))
+        assert _same_bits(_roundtrip(np.array(v), len(v), bits, inner, _FixedDraws(u)), values)
     assert seg.scale_lo[0] > 0.1
     codes = uniform_stochastic_quantize([0.0, 1.0], bits, _FixedDraws(u))
     assert codes.tolist() == [0, top]
@@ -330,6 +334,61 @@ def test_non_finite_values_keep_their_index_in_the_message():
         quantize_segment(v, 4, 8, "shift", np.random.default_rng(0))
 
 
+# -- short messages, value by value ---------------------------------------------
+
+_F32_MAX = float(np.finfo(np.float32).max)
+# signed zeros, the smallest float64 and float32 subnormals (the first rounds
+# to a float32 zero), and the largest magnitudes float32 metadata can carry
+_EDGE_VALUES = [
+    s * x
+    for s in (1.0, -1.0)
+    for x in (0.0, 2.0**-1074, 2.0**-149, _F32_MAX, np.nextafter(_F32_OVERFLOW, 0.0))
+]
+_short_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.builds(
+        lambda m, scale: m * scale,
+        st.floats(-4.0, 4.0),
+        st.sampled_from([1e-30, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e30]),
+    ),
+)
+
+
+@st.composite
+def _short_messages(draw):
+    """(values, bucket size, bit width, inner mode, generator seed): one
+    bucket of 1 to _SCALAR_MAX + 1 values, on both sides of the scalar path's
+    bound, sometimes constant."""
+    n = draw(st.integers(1, _SCALAR_MAX + 1))
+    if draw(st.booleans()):
+        values = draw(st.lists(_short_values, min_size=n, max_size=n))
+    else:
+        values = [draw(_short_values)] * n
+    bucket = draw(st.sampled_from([n, n + 1, 1024]))
+    bits = draw(st.integers(1, 16))
+    inner = draw(st.sampled_from(INNERS))
+    return np.array(values), bucket, bits, inner, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_short_messages())
+@example((np.array([0.0, -0.0]), 2, 4, "shift", 0))
+@example((np.array([-0.0, 0.0, 2.0**-1074]), 3, 16, "uniform_stochastic", 1))
+@example((np.array([-_F32_MAX, np.nextafter(_F32_OVERFLOW, 0.0)]), 1024, 1, "shift", 2))
+def test_short_messages_round_trip_as_the_segment_codec_and_the_oracle(message):
+    v, bucket, bits, inner, seed = message
+    rng = np.random.default_rng(seed)
+    got = _roundtrip(v, bucket, bits, inner, rng)
+    seg_rng = np.random.default_rng(seed)
+    want = dequantize_segment(quantize_segment(v, bucket, bits, inner, seg_rng))
+    oracle_rng = np.random.default_rng(seed)
+    _, oracle = _oracle_message(v, bucket, bits, inner, oracle_rng)
+    assert _same_bits(got, want)
+    assert _same_bits(got, oracle)
+    assert rng.bit_generator.state == seg_rng.bit_generator.state
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 # (bucket size, index of the bad value) in a message of 14 values: three full
 # buckets of 4 and a tail of 2, or a single bucket
 _BAD_VALUE_AT = {
@@ -337,9 +396,12 @@ _BAD_VALUE_AT = {
     "middle-bucket": (4, 6),
     "tail": (4, 13),
     "one-bucket": (16, 3),
+    "one-bucket-first": (16, 0),
+    "one-bucket-last": (16, 13),
 }
 _BAD_VALUES = {
     "nan": (np.nan, "^non-finite bucket value at index {}: nan$"),
+    "inf": (np.inf, "^non-finite bucket value at index {}: inf$"),
     "1e39": (1e39, r"^bucket value at index {}: 1e\+39 is beyond the float32 range"),
 }
 _CODEC_CALLS = {
