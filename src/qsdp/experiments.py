@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .quantize import (
     shift_round,
 )
 from .sharded import (NetworkModel, QuantConfig, ShardedMLP, SimConfig, simulate_step_time,
-                      step_time_terms)
+                      step_ledger, step_time_terms)
 
 __all__ = [
     "ConfigError",
@@ -324,7 +325,7 @@ def _sim_common(cfg: dict, used: set):
     """The fields `train-sim` and `bandwidth-sweep` share: (layers, P,
     bucket_size) and the network's (latency_s, compute_time_s, overlap)."""
     layers = _take(cfg, used, "layers", list,
-                   check=lambda vs: _int_list(vs) or _positive_list(vs))
+                   check=lambda vs: _int_list(vs) or _positive(min(vs)))
     P = _take(cfg, used, "P", int, 1, _positive)
     bucket_size = _take(cfg, used, "bucket_size", int, 1024, _positive)
     latency = _take(cfg, used, "latency_s", float, 0.0, _non_negative)
@@ -333,24 +334,6 @@ def _sim_common(cfg: dict, used: set):
     if len(layers) < 2:
         raise ConfigError("layers: need at least input and output widths")
     return layers, P, bucket_size, (latency, compute, overlap)
-
-
-def _sim_budget(layers, P, batch, batch_field, steps, steps_field):
-    """Refuse a simulation of `steps` steps whose arrays exceed MAX_ELEMENTS
-    or whose shard messages exceed MAX_ITERATIONS, naming the field.
-
-    A step holds each dense layer whole and (batch, max(layers)) activations,
-    and each dense+bias pair's reduce-scatters send 2P(P - 1) shard messages,
-    so a step's work is counted as (len(layers) - 1) x P^2 messages."""
-    for fan_in, fan_out in zip(layers, layers[1:]):
-        _budget("layers", fan_in * fan_out, MAX_ELEMENTS, "array elements in a dense layer")
-    _budget(batch_field, batch * max(layers), MAX_ELEMENTS,
-            f"array elements in the ({batch_field}, max(layers)) activations")
-    messages = (len(layers) - 1) * P * P
-    _budget("P", messages, MAX_ITERATIONS,
-            "shard messages in one step ((len(layers) - 1) x P^2)")
-    _budget(steps_field, steps * messages, MAX_ITERATIONS,
-            f"shard messages ({steps} simulated steps x (len(layers) - 1) x P^2)")
 
 
 def cmd_train_sim(cfg: dict):
@@ -366,7 +349,15 @@ def cmd_train_sim(cfg: dict):
     _finish(cfg, used)
     if batch % P:
         raise ConfigError(f"batch: {batch} does not divide across P={P} workers")
-    _sim_budget(layers, P, batch, "batch", steps * len(seeds), "steps")
+    dense = [fan_in * fan_out for fan_in, fan_out in zip(layers, layers[1:])]
+    _budget("layers", sum(dense) + sum(layers[1:]) + 3 * max(dense), MAX_ELEMENTS,
+            "array elements (every layer plus three buffers of the largest dense one)")
+    _budget("batch", batch * max(layers), MAX_ELEMENTS,
+            "array elements in the (batch, max(layers)) activations")
+    messages = (len(layers) - 1) * P * P
+    _budget("P", messages, MAX_ITERATIONS, "shard messages in one step ((len(layers) - 1) x P^2)")
+    _budget("steps", steps * len(seeds) * messages, MAX_ITERATIONS,
+            f"shard messages ({steps * len(seeds)} simulated steps x (len(layers) - 1) x P^2)")
 
     network = NetworkModel(bandwidth, *link)
     quant = _quant_from_bits(bit_widths, bucket_size, "bit_widths")
@@ -377,7 +368,8 @@ def cmd_train_sim(cfg: dict):
     # weight or gradient the quantizer refuses as beyond the float32 range.
     with np.errstate(over="ignore", invalid="ignore"):
         for seed in seeds:
-            sim = _sim(layers, P, batch, lr, quant, seed, fixed_batch)
+            sim = ShardedMLP(SimConfig(tuple(layers), P, batch, lr, quant, seed, seed, seed,
+                                       fixed_batch))
             for t in range(steps):
                 try:
                     loss, entry = sim.train_step(t)
@@ -409,26 +401,17 @@ def _step_time(entry, net: NetworkModel, field: str) -> float:
     return t
 
 
-def _sim(layers, P, batch, lr, quant, seed, fixed_batch=False) -> ShardedMLP:
-    """The simulated model of one seed; seeds the parameters, data and draws."""
-    return ShardedMLP(
-        SimConfig(
-            widths=tuple(layers), P=P, batch=batch, lr=lr, quant=quant,
-            root_seed=seed, param_seed=seed, data_seed=seed, fixed_batch=fixed_batch,
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # bandwidth-sweep
 # ---------------------------------------------------------------------------
 
 
-def _ledger(layers, P, quant):
-    """The ledger entry of one step, which depends on the layer widths, P and
-    `quant` (bucket size, bit widths) alone: one row per worker, any lr and
-    seed give the same one."""
-    return _sim(layers, P, P, 0.05, quant, 0).train_step(0)[1]
+def _priceable(entry):
+    """`entry`, refusing exact bits beyond the float range that prices them."""
+    if entry.total_bits > sys.float_info.max:  # only a huge `layers` or `P`
+        raise ArithmeticError(f"layers and P: one step sends about 10^"
+                              f"{math.log10(entry.total_bits):.0f} bits, beyond the float range")
+    return entry
 
 
 def cmd_bandwidth_sweep(cfg: dict):
@@ -444,7 +427,6 @@ def cmd_bandwidth_sweep(cfg: dict):
         _finish(cfg, used)
         if not configs:
             raise ConfigError("configs: must be non-empty")
-        _sim_budget(layers, P, P, "P", len(configs), "configs")
         labelled = []
         for conf in configs:
             if not isinstance(conf, dict) or "label" not in conf:
@@ -456,7 +438,7 @@ def cmd_bandwidth_sweep(cfg: dict):
                   "reducescatter_bits", "step_time_s"]
         rows = []
         for label, quant in labelled:
-            entry = _ledger(layers, P, quant)
+            entry = _priceable(step_ledger(layers, P, quant))
             for net in nets:
                 rows.append(
                     [label, net.bandwidth_bps, entry.total_bits, entry.allgather_bits,
@@ -469,9 +451,8 @@ def cmd_bandwidth_sweep(cfg: dict):
     w_ratios = _take(cfg, used, "weight_ratios", list, check=_positive_list)
     g_ratios = _take(cfg, used, "gradient_ratios", list, check=_positive_list)
     _finish(cfg, used)
-    _sim_budget(layers, P, P, "P", 1, "P")
     fp32 = QuantConfig(quantize_weights=False, quantize_gradients=False)
-    base = _ledger(layers, P, fp32)
+    base = _priceable(step_ledger(layers, P, fp32))
     header = ["label", "bandwidth_bps", "weight_ratio", "gradient_ratio",
               "total_bits", "step_time_s"]
     rows = []

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantize import dequantize_segment, quantize_segment
-from .wire import decode_segment, encode_segment
+from .wire import decode_segment, encode_segment, segment_size_bits
 
 # The per-bucket codec stays bound here for code that looks it up on this
 # module (perfbench/tracing.py); the simulation itself runs on segments.
@@ -78,6 +78,7 @@ __all__ = [
     "LedgerEntry",
     "shard_bounds",
     "step_time_terms",
+    "step_ledger",
     "simulate_step_time",
     "bucket_rng",
     "mlp_layer_specs",
@@ -112,7 +113,7 @@ class LayerSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,24 @@ def step_time_terms(entry: LedgerEntry, network: NetworkModel) -> dict[str, floa
         "compute_time_s": network.compute_time_s,
         "latency_s": network.latency_s * entry.collective_count,
     }
+
+
+def step_ledger(widths, P: int, quant: QuantConfig) -> LedgerEntry:
+    """The entry a `ShardedMLP` step of `widths` records, from the shard layout
+    alone: no model is built, and the entry has its four counters, no transfers."""
+    def sent(layer, quantized, bits):  # one copy of each non-empty shard
+        base = layer.size // P  # shard_bounds: P - 1 shards of `base`, the rest last
+        quantized = quantized and layer.kind == "dense"  # the others travel at fp32
+        return sum(k * (segment_size_bits(n, quant.bucket_size, bits) if quantized else 32 * n)
+                   for k, n in ((P - 1, base), (1, layer.size - (P - 1) * base)) if n)
+
+    pairs, q = len(widths) - 1, quant
+    entry = LedgerEntry(0, allgather_events=4 * pairs, reducescatter_events=2 * pairs)
+    # each shard crosses P - 1 worker boundaries in both gathers and in the reduce-scatter
+    for layer in mlp_layer_specs(list(widths)):
+        entry.allgather_bits += 2 * (P - 1) * sent(layer, q.quantize_weights, q.weight_bits)
+        entry.reducescatter_bits += (P - 1) * sent(layer, q.quantize_gradients, q.gradient_bits)
+    return entry
 
 
 def simulate_step_time(entry: LedgerEntry, network: NetworkModel) -> float:

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import pathlib
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,7 +381,7 @@ def test_bandwidth_sweep_checks_every_config_before_computing(tmp_path, monkeypa
     import qsdp.experiments
 
     steps = []
-    monkeypatch.setattr(qsdp.experiments, "_sim", lambda *a: steps.append(a))
+    monkeypatch.setattr(qsdp.experiments, "step_ledger", lambda *a: steps.append(a))
     configs = [{"label": "ok", "weights": 8}, {"label": "bad", "weights": 17}]
     cfg_path = _write(tmp_path, "bw", dict(CONFIGS["bandwidth-sweep"], configs=configs))
     out = tmp_path / "out.csv"
@@ -388,6 +390,17 @@ def test_bandwidth_sweep_checks_every_config_before_computing(tmp_path, monkeypa
     assert steps == []
     assert not out.exists()
 
+
+_DROP = object()  # a patch value that removes the field
+
+
+def _patched(command, patch):
+    cfg = dict(CONFIGS[command], **patch)
+    return {key: value for key, value in cfg.items() if value is not _DROP}
+
+
+# the bandwidth-sweep config in ratios mode
+_RATIOS = {"mode": "ratios", "configs": _DROP, "weight_ratios": [1, 2], "gradient_ratios": [1]}
 
 # id: (command, patch, the field the one stderr line must name)
 EXTREME = {
@@ -421,6 +434,14 @@ EXTREME = {
     "bandwidth-sweep-bandwidths_gbps-huge": (  # 1e300 Gbit/s is inf bit/s
         "bandwidth-sweep", {"bandwidths_gbps": [1e300]}, "bandwidths_gbps"
     ),
+    # exact integer bits that no float can price
+    "bandwidth-sweep-P-bits": ("bandwidth-sweep", {"P": 10**400}, "P"),
+    "bandwidth-sweep-layers-bits": ("bandwidth-sweep", {"layers": [10**160, 10**160]}, "layers"),
+    "bandwidth-sweep-P-ratios": ("bandwidth-sweep", dict(_RATIOS, P=10**400), "P"),
+    "bandwidth-sweep-layers-int": ("bandwidth-sweep", {"layers": [10**400, 4]}, "layers"),
+    "bandwidth-sweep-layers-ratios": (
+        "bandwidth-sweep", dict(_RATIOS, layers=[10**160, 10**160]), "layers"
+    ),
 }
 
 
@@ -432,7 +453,7 @@ def test_extreme_config_numbers_exit_3_before_any_seed_runs(
 
     runs = []
     monkeypatch.setattr(qsdp.experiments, "run", lambda *a, **k: runs.append(a))
-    cfg_path = _write(tmp_path, command, dict(CONFIGS[command], **patch))
+    cfg_path = _write(tmp_path, command, _patched(command, patch))
     out = tmp_path / "out.csv"
     rc = main([command, "--config", cfg_path, "--out", str(out), "--no-timestamp"])
     err = capsys.readouterr().err
@@ -466,12 +487,13 @@ EXTREME_SIZES = {
         "diagonal",
     ),
     "train-sim-layers": ("train-sim", {"layers": [200_000, 200_000]}, "layers"),
+    "train-sim-layers-int": ("train-sim", {"layers": [10**400, 4]}, "layers"),  # no float
+    # each dense layer fits; the model, every layer of it, does not
+    "train-sim-layers-sum": ("train-sim", {"layers": [10_000] * 12, "steps": 1}, "layers"),
     "train-sim-batch": ("train-sim", {"batch": 4 * 10**8}, "batch"),
     # the activations fit; one step's shard messages do not
     "train-sim-P": ("train-sim", {"P": 10**6, "batch": 10**6}, "P"),
     "train-sim-steps": ("train-sim", {"steps": 10**9}, "steps"),
-    "bandwidth-sweep-layers": ("bandwidth-sweep", {"layers": [200_000, 200_000]}, "layers"),
-    "bandwidth-sweep-P": ("bandwidth-sweep", {"P": 10**6}, "P"),
 }
 
 
@@ -513,13 +535,14 @@ AT_BUDGET = [
      {"sparsity_vectors": 3, "samples": 1}, "MAX_ITERATIONS", 2 * 2 * 4000 * 32),
     ("converge", "diagonal", {}, {"diagonal": [1.0, 2.0, 3.0], "x0": [1.0] * 3},
      "MAX_ELEMENTS", 2 * 2),
-    ("train-sim", "layers", {}, {"layers": [16, 17, 4]}, "MAX_ELEMENTS", 16 * 16),
-    ("train-sim", "batch", {"batch": 16}, {"batch": 18}, "MAX_ELEMENTS", 16 * 16),
+    # every layer of [16, 16, 4] plus three buffers of its largest dense layer
+    ("train-sim", "layers", {}, {"layers": [16, 17, 4]}, "MAX_ELEMENTS",
+     16 * 16 + 16 + 16 * 4 + 4 + 3 * 16 * 16),
+    # activations above that model footprint
+    ("train-sim", "batch", {"batch": 70}, {"batch": 72}, "MAX_ELEMENTS", 70 * 16),
     ("train-sim", "steps", {}, {"steps": 6}, "MAX_ITERATIONS", 5 * 2 * 2**2),
     ("train-sim", "P", {"steps": 1, "batch": 6}, {"steps": 1, "batch": 6, "P": 3},
      "MAX_ITERATIONS", 2 * 2**2),
-    ("bandwidth-sweep", "layers", {}, {"layers": [16, 17, 4]}, "MAX_ELEMENTS", 16 * 16),
-    ("bandwidth-sweep", "P", {}, {"P": 3}, "MAX_ITERATIONS", 2 * 2 * 2**2),
 ]
 
 
@@ -538,6 +561,108 @@ def test_size_budgets_admit_their_limit_and_refuse_one_more(
         out = tmp_path / f"{name}.csv"
         assert main([command, "--config", cfg_path, "--out", str(out), "--no-timestamp"]) == rc
     assert capsys.readouterr().err.startswith(f"qsdp: config error: {field}: ")
+
+
+_HEADER, _BLOCK = 14 * 8, 12 * 8  # bits of a wire v1 header and of block metadata
+# 78 dense layers of 2048 x 8192, 1.3 x 10^9 elements, over 8 workers
+_GPT_SCALE = {"layers": [2048, 8192] * 39 + [2048], "P": 8}
+
+# id: (patch, the w8g8 and the fp32 total_bits of one step in closed form); a
+# shard crosses to P - 1 workers in each of two gathers and one reduce-scatter
+PRICED = {
+    # 2 x 10^10 dense values a shard, 19,531,250 full buckets, and 10^5 bias values
+    "layers": (
+        {"layers": [200_000, 200_000]},
+        3 * 2 * (_HEADER + 19_531_250 * (_BLOCK + 8 * 1024) + 32 * 100_000),
+        3 * 32 * (200_000**2 + 200_000),
+    ),
+    # P above every layer's size: the last worker holds each layer whole
+    "P": (
+        {"P": 10**6},
+        3 * (10**6 - 1) * (2 * (_HEADER + _BLOCK) + 8 * (256 + 64) + 32 * (16 + 4)),
+        3 * (10**6 - 1) * 32 * (256 + 16 + 64 + 4),
+    ),
+    # a dense layer beyond int64 in two shards of 2^53 full buckets
+    "layers-beyond-int64": (
+        {"layers": [2**32, 2**32]},
+        3 * 2 * (_HEADER + 2**53 * (_BLOCK + 8 * 1024) + 32 * 2**31),
+        3 * 32 * (2**64 + 2**32),
+    ),
+    # shards of 2048 full buckets, and bias shards of 1024 and 256 values
+    "gpt-scale": (
+        _GPT_SCALE,
+        3 * 7 * (78 * 8 * (_HEADER + 2048 * (_BLOCK + 8 * 1024)) + 32 * 39 * (8192 + 2048)),
+        3 * 7 * 32 * (78 * 2048 * 8192 + 39 * (8192 + 2048)),
+    ),
+}
+
+
+@pytest.mark.parametrize("patch,w8g8,fp32", PRICED.values(), ids=PRICED.keys())
+def test_bandwidth_sweep_prices_what_it_cannot_build(tmp_path, capsys, recwarn, patch,
+                                                     w8g8, fp32):
+    cfg_path = _write(tmp_path, "bw", dict(CONFIGS["bandwidth-sweep"], **patch))
+    out = tmp_path / "out.csv"
+    assert main(["bandwidth-sweep", "--config", cfg_path, "--out", str(out),
+                 "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(recwarn) == 0  # no "P exceeds size" warning: no model is built
+    header, *rows = _rows(out)
+    totals = {row[0]: int(row[header.index("total_bits")]) for row in rows}
+    assert totals == {"w8g8": w8g8, "fp32": fp32}
+
+
+def test_bandwidth_sweep_prices_gpt_scale_layers_in_under_a_second_and_1_mb(tmp_path):
+    cfg_path = _write(tmp_path, "bw", dict(CONFIGS["bandwidth-sweep"], **_GPT_SCALE))
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rc = main(["bandwidth-sweep", "--config", cfg_path, "--out", str(out),
+                   "--no-timestamp"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("mode", ["bits", "ratios"])
+def test_bandwidth_sweep_builds_no_model(tmp_path, monkeypatch, mode):
+    import qsdp.experiments
+    import qsdp.sharded
+    from qsdp.sharded import ShardedMLP, SimConfig
+
+    cfg = json.loads(
+        (pathlib.Path(__file__).resolve().parents[1] / "configs" / "bandwidth-sweep.json")
+        .read_text()
+    )
+    if mode == "ratios":
+        del cfg["configs"]
+        cfg.update(mode="ratios", weight_ratios=[1, 2, 4], gradient_ratios=[1, 8])
+    cfg_path = _write(tmp_path, "bw", cfg)
+
+    def sweep(name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["bandwidth-sweep", "--config", cfg_path, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        return out.read_bytes()
+
+    def trained_ledger(layers, P, quant):  # one step of a built model, one row a worker
+        return ShardedMLP(SimConfig(tuple(layers), P, P, 0.05, quant)).train_step(0)[1]
+
+    with monkeypatch.context() as m:
+        m.setattr(qsdp.experiments, "step_ledger", trained_ledger)
+        built = sweep("built")
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(qsdp.experiments, "ShardedMLP", no_model)
+    monkeypatch.setattr(qsdp.sharded, "ShardedMLP", no_model)
+    monkeypatch.setattr(np.random, "default_rng", no_model)
+    assert sweep("priced") == built
 
 
 # A fine lattice pitch so small that an iterate has no finite index on it.

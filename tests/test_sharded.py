@@ -23,6 +23,7 @@ from qsdp.sharded import (
     mlp_layer_specs,
     shard_bounds,
     simulate_step_time,
+    step_ledger,
     step_time_terms,
 )
 from qsdp.wire import segment_size_bits
@@ -444,6 +445,31 @@ class TestLedger:
         ]
         assert len(dense0) == 8  # 4 shard messages, forward and backward
         assert all(t.nbytes == 14 + 12 + 1024 and t.copies == 3 for t in dense0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        widths=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+        P=st.integers(1, 20),
+        bucket=st.integers(1, 64),
+        bits=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        quantized=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_step_ledger_counts_what_a_step_sends(self, widths, P, bucket, bits, quantized):
+        # small layers put P above a layer's size, shards are uneven, and the
+        # buckets run from below a shard's size to above it
+        quant = QuantConfig(
+            quantize_weights=quantized[0], quantize_gradients=quantized[1],
+            weight_bits=bits[0], gradient_bits=bits[1], bucket_size=bucket,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # P > layer size
+            _, sent = _sim(P=P, quant=quant, widths=tuple(widths), batch=P).train_step(0)
+        priced = step_ledger(widths, P, quant)
+        counters = ("allgather_bits", "reducescatter_bits", "allgather_events",
+                    "reducescatter_events")
+        assert ([getattr(priced, c) for c in counters]
+                == [getattr(sent, c) for c in counters])
+        assert priced.transfers == []
 
     def test_payload_scales_inversely_with_bits(self):
         sim8 = _sim(P=4, quant=QuantConfig(weight_bits=8, gradient_bits=8))
