@@ -52,11 +52,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or an integer beyond int()'s digit limit
+                raise ConfigError(exc) from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
         header, rows = dispatch(args.command, cfg)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"qsdp: config error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError, ValueError) as exc:

@@ -453,6 +453,11 @@ def cmd_bandwidth_sweep(cfg: dict):
     _finish(cfg, used)
     fp32 = QuantConfig(quantize_weights=False, quantize_gradients=False)
     base = _priceable(step_ledger(layers, P, fp32))
+    for name, ratios, bits in (("weight_ratios", w_ratios, base.allgather_bits),
+                               ("gradient_ratios", g_ratios, base.reducescatter_bits)):
+        for ratio in ratios:
+            if not math.isfinite(bits / ratio):
+                raise ArithmeticError(f"{name}: ratio {ratio!r} scales {bits} bits a step to inf")
     header = ["label", "bandwidth_bps", "weight_ratio", "gradient_ratio",
               "total_bits", "step_time_s"]
     rows = []

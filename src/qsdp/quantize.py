@@ -231,7 +231,8 @@ def dequantize(block: QuantizedBlock) -> np.ndarray:
         raise ValueError(
             f"corrupted code >= 2**{block.bit_width} cannot be decoded"
         )
-    return _values([(codes, block.shift, block.scale_lo, block.scale_hi)], block.bit_width)
+    return _values(codes, block.shift, block.scale_lo, block.scale_hi, block.bit_width,
+                   np.empty(codes.size))
 
 
 class Segment(NamedTuple):
@@ -314,19 +315,42 @@ def _ends(x, v):
 
 
 def _quantize_pass(v, bucket_size, bit_width, inner, rng):
-    """`_code` of each group of the non-empty 1-D float array `v`, quantized
-    as one message.
-
-    Every value is checked before anything is drawn.  Each group then draws
-    for its buckets in order, one r ~ U[-1/2, 1/2) per bucket (shift) or one
-    u ~ U[0, 1) per value (uniform_stochastic), which equals drawing bucket
-    by bucket.
-    """
+    """`v` as the 1-D float array of one message, and `_code` of each of its
+    groups.  Every argument and value is checked before anything is drawn.
+    Each group then draws for its buckets in order, one r ~ U[-1/2, 1/2) per
+    bucket (shift) or one u ~ U[0, 1) per value (uniform_stochastic), which
+    equals drawing bucket by bucket."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size == 0:
+        raise ValueError("cannot quantize an empty vector")
+    if inner not in INNER_MODES:
+        raise ValueError(f"unknown inner mode {inner!r}")
+    if not 1 <= bit_width <= 32:
+        raise ValueError(f"bit_width must be in [1, 32], got {bit_width}")
+    if bucket_size < 1:
+        raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
     if v.size <= bucket_size:  # one bucket: nothing to split
-        return (_code(v, *_ends(v, v), rng, bit_width, inner),)
+        return v, (_code(v, *_ends(v, v), rng, bit_width, inner),)
     groups = _groups(v, bucket_size)
     ends = [_ends(x, v) for x in groups]  # checks every value first
-    return tuple(_code(x, *e, rng, bit_width, inner) for x, e in zip(groups, ends))
+    return v, tuple(_code(x, *e, rng, bit_width, inner) for x, e in zip(groups, ends))
+
+
+class _RowBuffer:
+    """numpy's ufunc buffer cut to whole rows (in multiples of 16) of the (k, row) group `x`:
+    no broadcast (k, 1) operand is copied into a longer buffer (3x at (64, 1024)), and no
+    value changes.  numpy 1.x does not scope it, so the caller's size is put back."""
+
+    def __init__(self, x):
+        self.row = x.shape[1] if x.ndim == 2 else 0
+
+    def __enter__(self):
+        row = self.row
+        self.saved = np.setbufsize(row - row % 16) if 16 <= row < np.getbufsize() else 0
+
+    def __exit__(self, *exc):
+        if self.saved:
+            np.setbufsize(self.saved)
 
 
 def _code_dtype(bit_width: int) -> np.dtype:
@@ -336,7 +360,7 @@ def _code_dtype(bit_width: int) -> np.dtype:
 
 def _code(x, lo, hi, rng, bit_width, inner):
     """(float64 codes, shift, lo, hi) of the group `x` from its `_ends` lo and
-    hi, drawing from `rng`, as `_values` takes them.
+    hi, drawing from `rng`; the codes are whole numbers in [0, top].
 
     A bucket scales to a = (x - lo) * top / span, or to 0 if span is 0, and
     rounds to rint(a - r) with its draw r (shift), or to floor(a + u) with a
@@ -345,23 +369,23 @@ def _code(x, lo, hi, rng, bit_width, inner):
     draws as any other, and gets all-zero codes and a +0.0 shift.
     """
     top = (1 << bit_width) - 1
-    if x.ndim == 1:
-        span = hi - lo
-        a = x - lo
-        a *= top / span if span else 0.0
-    else:
-        span = (hi - lo)[:, None]
-        a = x - lo[:, None]
-        a *= np.divide(top, span, out=np.zeros(span.shape), where=span > 0)
-    if inner == "shift":
-        r = rng.uniform(-0.5, 0.5) if x.ndim == 1 else rng.uniform(-0.5, 0.5, span.shape)
-        shift = np.float32(r * span / top + 0.0).astype(np.float64)  # never -0.0
-        shift_round(a, r, 1, out=a)
-    else:
-        shift = 0.0
-        flip_round(a, rng.random(x.shape))
-    np.maximum(a, 0.0, out=a)  # np.clip without its per-call overhead
-    codes = np.minimum(a, top, out=a)
+    with _RowBuffer(x):
+        if x.ndim == 1:
+            span = hi - lo
+            a = x - lo
+            a *= top / span if span else 0.0
+        else:
+            span = (hi - lo)[:, None]
+            a = x - lo[:, None]
+            a *= np.divide(top, span, out=np.zeros(span.shape), where=span > 0)
+        if inner == "shift":
+            r = rng.uniform(-0.5, 0.5) if x.ndim == 1 else rng.uniform(-0.5, 0.5, span.shape)
+            shift = np.float32(r * span / top + 0.0).astype(np.float64)  # never -0.0
+            shift_round(a, r, 1, out=a)
+        else:
+            shift = 0.0
+            flip_round(a, rng.random(x.shape))
+        codes = a.clip(0, top, out=a)  # one pass; a -0.0 stays, and casts to code 0
     if x.ndim == 1:
         return codes, float(shift), lo, hi
     return codes, shift[:, 0] if inner == "shift" else np.zeros(len(x)), lo, hi
@@ -386,39 +410,25 @@ def quantize_segment(
     buckets, degenerate ones too, draw from `rng` in order, so the result
     equals quantizing them one at a time from the same generator.
     """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("cannot quantize an empty vector")
-    if inner not in INNER_MODES:
-        raise ValueError(f"unknown inner mode {inner!r}")
-    if not 1 <= bit_width <= 32:
-        raise ValueError(f"bit_width must be in [1, 32], got {bit_width}")
-    if bucket_size < 1:
-        raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
-    (codes, *meta), *tail = _quantize_pass(v, bucket_size, bit_width, inner, rng)
+    _, coded = _quantize_pass(v, bucket_size, bit_width, inner, rng)
     dtype = _code_dtype(bit_width)  # the wire's, so encoding casts nothing
-    rows = codes.astype(dtype)
-    if rows.ndim == 1:  # one bucket, with float metadata
-        rows, meta = rows[None], [np.array([m]) for m in meta]
-    if not tail:
-        return Segment(rows, np.zeros(0, dtype), *meta, bit_width)
-    (codes, *tail_meta), = tail
-    meta = [np.append(m, t) for m, t in zip(meta, tail_meta)]
-    return Segment(rows, codes.astype(dtype), *meta, bit_width)
+    codes = [group[0].astype(dtype) for group in coded]
+    tail = codes[1] if len(codes) > 1 else np.zeros(0, dtype)
+    meta = [np.hstack(m) for m in zip(*(group[1:] for group in coded))]  # floats for 1-D groups
+    return Segment(codes[0].reshape(-1, codes[0].shape[-1]), tail, *meta, bit_width)
 
 
-def dequantize_segment(seg: Segment) -> np.ndarray:
-    """Reconstruct every value of a segment, as `dequantize` does per block."""
-    k, shift, lo, hi = seg.rows.shape[0], seg.shift, seg.scale_lo, seg.scale_hi
+def dequantize_segment(seg: Segment, out: np.ndarray | None = None) -> np.ndarray:
+    """Reconstruct a segment's values as `dequantize` does per block, into `out` if given."""
+    (k, size), shift, lo, hi = seg.rows.shape, seg.shift, seg.scale_lo, seg.scale_hi
+    out = np.empty(seg.length) if out is None else out
     if k == 1:  # one bucket: float metadata, as `_code` gives it
-        groups = [(seg.rows[0], shift.item(0), lo.item(0), hi.item(0))]
-    elif seg.tail.size:
-        groups = [(seg.rows, shift[:k], lo[:k], hi[:k])]
+        _values(seg.rows[0], shift.item(0), lo.item(0), hi.item(0), seg.bit_width, out[:size])
     else:
-        groups = [(seg.rows, shift, lo, hi)]
+        _values(seg.rows, shift[:k], lo[:k], hi[:k], seg.bit_width, out[: k * size])
     if seg.tail.size:
-        groups.append((seg.tail, shift.item(k), lo.item(k), hi.item(k)))
-    return _values(groups, seg.bit_width)
+        _values(seg.tail, shift.item(k), lo.item(k), hi.item(k), seg.bit_width, out[k * size :])
+    return out
 
 
 # A one-bucket message of at most this many values round-trips in Python
@@ -432,11 +442,11 @@ _F32_PAIR = struct.Struct("<2f")
 
 
 def _roundtrip(v, bucket_size, bit_width, inner, rng):
-    """dequantize_segment(quantize_segment(v, ...)) bit for bit, for a
-    non-empty 1-D float array `v`, without building the Segment."""
+    """dequantize_segment(quantize_segment(v, ...)), for a non-empty 1-D float
+    array `v`, value by value for a short one-bucket message."""
     if v.size <= min(bucket_size, _SCALAR_MAX):
         return _scalar_roundtrip(v, bit_width, inner, rng)
-    return _values(_quantize_pass(v, bucket_size, bit_width, inner, rng), bit_width)
+    return dequantize_segment(quantize_segment(v, bucket_size, bit_width, inner, rng))
 
 
 def _scalar_roundtrip(v, bit_width, inner, rng):
@@ -469,24 +479,21 @@ def _scalar_roundtrip(v, bit_width, inner, rng):
     return np.array(values)
 
 
-def _values(groups, bit_width):
-    """Values of a message's (codes, shift, lo, hi) groups, each bucket
-    spanning [lo, hi] plus its shift, as one 1-D array.  The
-    metadata are floats for one bucket, else one entry per row of codes, as
-    `_code` gives them.  Float64 codes are overwritten."""
-    parts = []
-    for codes, shift, lo, hi in groups:
-        pitch = (hi - lo) / ((1 << bit_width) - 1)
-        if isinstance(lo, np.ndarray):  # one entry per row
+def _values(codes, shift, lo, hi, bit_width, out):
+    """Write lo + code * pitch + shift of one group's unsigned codes into `out`, a float64
+    array of their size, and return it shaped as the codes.  Each bucket spans [lo, hi];
+    the metadata are floats for a 1-D group, else one entry per row of codes."""
+    pitch = (hi - lo) / ((1 << bit_width) - 1)
+    out = out.reshape(codes.shape)
+    with _RowBuffer(codes):
+        if codes.ndim == 2:
             shift, lo, pitch = shift[:, None], lo[:, None], pitch[:, None]
-        out = codes.astype(np.float64, copy=False)
-        out *= pitch
+        np.multiply(codes, pitch, out=out)
         out += lo
         # lo + code * pitch is never -0.0, so adding a zero shift is the identity
-        if shift if isinstance(shift, float) else np.count_nonzero(shift):
+        if shift if codes.ndim == 1 else np.count_nonzero(shift):
             out += shift
-        parts.append(out if out.ndim == 1 else out.reshape(-1))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return out
 
 
 def quantize_bucket(

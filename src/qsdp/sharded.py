@@ -15,15 +15,16 @@ activations are one (P, rows, width) array and a layer's matmul is one stacked
 call; numpy runs it as one gemm per worker slice, which matches per-worker
 matmuls bit for bit (one flat (batch, width) matmul would not).
 
-Each quantized shard message is quantized, encoded, decoded and dequantized
-as one segment of whole arrays.  Its randomness comes from one generator per
-quantized collective, keyed by (root seed, step, layer, kind) with kind
-`WEIGHTS` or `GRADIENTS`.  An all-gather's shard messages draw from it in
-shard order; a reduce-scatter's draw worker-major, then in shard order, and
-only the messages that cross to another worker draw.  So any worker count
-replays exactly the same quantization draws as a single-process formulation
-of the same iteration (the tests keep one), and the two must agree bit for
-bit.
+Each quantized shard message is quantized straight into its wire v1 bytes
+and dequantized from views of them straight into the receiver's array: the
+gather buffer, or a shard-sized one that the reduce-scatter adds.  Its
+randomness comes from one generator per quantized collective, keyed by (root
+seed, step, layer, kind) with kind `WEIGHTS` or `GRADIENTS`.  An all-gather's
+shard messages draw from it in shard order; a reduce-scatter's draw
+worker-major, then in shard order, and only the messages that cross to
+another worker draw.  So any worker count replays exactly the same
+quantization draws as a single-process formulation of the same iteration
+(the tests keep one), and the two must agree bit for bit.
 
 A layer's weights are quantized once per step: the forward gather keeps its
 messages' wire bytes, and the backward gather of the same step and layer
@@ -62,11 +63,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import dequantize_segment, quantize_segment
-from .wire import decode_segment, encode_segment, segment_size_bits
+from .wire import dequantize_message, quantize_message, segment_size_bits
 
 # The per-bucket codec stays bound here for code that looks it up on this
-# module (perfbench/tracing.py); the simulation itself runs on segments.
+# module (perfbench/tracing.py); the simulation itself runs on wire bytes.
 from .quantize import dequantize, quantize_bucket  # noqa: F401
 from .wire import decode, encode  # noqa: F401
 
@@ -361,22 +361,22 @@ class ShardedMLP:
             return q.gradient_bits if q.quantize_gradients else 0
         return q.weight_bits if q.quantize_weights else 0
 
-    def _encode(self, values, bits, kind, rng) -> bytes:
+    def _encode(self, values, bits, kind, rng) -> bytearray:
         """Wire v1 bytes of one quantized shard message."""
         mode = "uniform_stochastic" if kind == GRADIENTS else "shift"
-        return encode_segment(
-            quantize_segment(values, self.quant.bucket_size, bits, mode, rng)
-        )
+        return quantize_message(values, self.quant.bucket_size, bits, mode, rng)
 
-    def _deliver(self, layer, collective, bits, values, wire, copies, entry):
+    def _deliver(self, layer, collective, bits, values, wire, copies, entry, out=None):
         """Send one shard message of `values` to `copies` other workers.
 
         Returns what a receiver reconstructs: from the wire v1 bytes alone if
-        quantized, else `values` itself; records a transfer if copies > 0."""
+        quantized, written into `out` (a new array if None), else `values`
+        itself; records a transfer if copies > 0."""
         if wire is None:
             received, bits, nbytes = values, 32, values.size * 4
         else:
-            received, nbytes = dequantize_segment(decode_segment(wire)), len(wire)
+            out = np.empty(values.size) if out is None else out
+            received, nbytes = dequantize_message(wire, out), len(wire)
         if copies:
             entry.record(
                 Transfer(collective, layer.name, bits, nbytes, copies, values.size * bits)
@@ -405,8 +405,8 @@ class ShardedMLP:
         else:  # every peer receives the shard itself
             full, wires = flat, [None] * len(shards)
         for (s, e), wire in zip(shards, wires):
-            full[s:e] = self._deliver(
-                layer, "allgather", bits, flat[s:e], wire, self.cfg.P - 1, entry
+            full[s:e] = self._deliver(  # a no-op copy when decoded in place
+                layer, "allgather", bits, flat[s:e], wire, self.cfg.P - 1, entry, full[s:e]
             )
         entry.allgather_events += 1
         return full

@@ -20,10 +20,10 @@ byte; the final byte of each block is zero-padded.  Scales and the shift are
 transported as float32, so blocks built by the bucketed quantizers (whose
 metadata is float32-exact) round-trip field-exactly.
 
-`encode_segment` and `decode_segment` handle a message as one `Segment` of
-whole arrays; `encode` and `decode` are the same codec seen as a list of
-`QuantizedBlock`.  Decoding rejects non-finite metadata and
-scale_lo > scale_hi.
+`quantize_message` quantizes a message into its bytes, and `dequantize_message`
+reads its values from views of them into the caller's array.  `encode_segment`
+and `decode_segment` handle the same records as one `Segment`, `encode` and
+`decode` as `QuantizedBlock`s.  Decoding rejects non-finite metadata and scale_lo > scale_hi.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import struct
 
 import numpy as np
 
-from .quantize import QuantizedBlock, Segment, _code_dtype, _layout
+from .quantize import QuantizedBlock, Segment, _code_dtype, _layout, _quantize_pass
+from .quantize import _all_finite, dequantize_segment
 
 __all__ = [
     "WIRE_VERSION",
@@ -43,6 +44,8 @@ __all__ = [
     "decode",
     "encode_segment",
     "decode_segment",
+    "quantize_message",
+    "dequantize_message",
     "message_size_bits",
     "segment_size_bits",
     "WireError",
@@ -88,27 +91,12 @@ def _payload_bytes(length: int, bit_width: int) -> int:
     return (length * bit_width + 7) // 8
 
 
-def _pack_rows(codes: np.ndarray, bit_width: int) -> np.ndarray:
-    """Pack each row of codes LSB-first into whole bytes, zero-padding its end."""
-    k, n = codes.shape
-    dtype = _code_dtype(bit_width)
-    code_bytes = codes.astype(dtype, copy=False).view(np.uint8)
-    if bit_width in (8, 16, 32):  # whole bytes: the little-endian code bytes
-        return code_bytes
-    planes = np.unpackbits(
-        code_bytes.reshape(k, n, dtype.itemsize), axis=2, bitorder="little"
-    )
-    return np.packbits(
-        planes[:, :, :bit_width].reshape(k, n * bit_width), axis=1, bitorder="little"
-    )
-
-
 def _unpack_rows(payload: np.ndarray, n: int, bit_width: int) -> np.ndarray:
-    """Inverse of _pack_rows; nonzero padding bits raise a DecodeError."""
+    """Inverse of `_put_codes`, whole-byte codes as views; nonzero padding bits raise."""
     k = payload.shape[0]
     dtype = _code_dtype(bit_width)
     if bit_width in (8, 16, 32):
-        return np.ascontiguousarray(payload).view(dtype)
+        return payload.view(dtype)  # the little-endian code bytes
     bits = np.unpackbits(payload, axis=1, bitorder="little")
     used = n * bit_width
     if bits[:, used:].any():
@@ -116,6 +104,33 @@ def _unpack_rows(payload: np.ndarray, n: int, bit_width: int) -> np.ndarray:
     planes = np.zeros((k, n, 8 * dtype.itemsize), dtype=np.uint8)
     planes[:, :, :bit_width] = bits[:, :used].reshape(k, n, bit_width)
     return np.packbits(planes, axis=2, bitorder="little").view(dtype).reshape(k, n)
+
+
+def _put_codes(payload: np.ndarray, codes: np.ndarray, bit_width: int) -> None:
+    """Write each row of codes, unsigned or whole floats, into its row of the uint8
+    `payload` columns, LSB-first with a zero-padded end, casting each code once."""
+    dtype = _code_dtype(bit_width)
+    if bit_width in (8, 16, 32):  # whole bytes: the little-endian code bytes
+        payload.view(dtype)[...] = codes
+        return
+    k, n = codes.shape
+    code_bytes = codes.astype(dtype, copy=False).reshape(k, n, 1).view(np.uint8)
+    planes = np.unpackbits(code_bytes, axis=2, bitorder="little")[:, :, :bit_width]
+    payload[...] = np.packbits(planes.reshape(k, n * bit_width), axis=1, bitorder="little")
+
+
+def _frame(bit_width: int, size: int, k: int, tail: int, length: int):
+    """A zeroed message with its header written, and one (offset, uint8 records)
+    pair per group to fill: k records of `size` codes, then the tail's."""
+    record = _BLOCK_META.size + _payload_bytes(size, bit_width)
+    body = _HEADER.size + k * record
+    buf = bytearray(body + (_BLOCK_META.size + _payload_bytes(tail, bit_width) if tail else 0))
+    _HEADER.pack_into(buf, 0, WIRE_VERSION, bit_width, size, k + (tail > 0), length)
+    array = np.frombuffer(buf, np.uint8)
+    groups = [(_HEADER.size, array[_HEADER.size : body].reshape(k, record))]
+    if tail:
+        groups.append((body, array[None, body:]))
+    return buf, groups
 
 
 _EMPTY = Segment(
@@ -127,10 +142,6 @@ _EMPTY = Segment(
 def encode_segment(seg: Segment) -> bytes:
     """Serialize one segment: the message of its block list, one record per bucket."""
     k, bucket_size = seg.rows.shape
-    count = k + (1 if seg.tail.size else 0)
-    header = _HEADER.pack(WIRE_VERSION, seg.bit_width, bucket_size, count, seg.length)
-    if not count:
-        return header
     meta = np.stack([seg.shift, seg.scale_lo, seg.scale_hi], axis=1)
     with np.errstate(over="ignore"):  # overflow to inf is reported below
         meta32 = meta.astype("<f4")
@@ -142,15 +153,37 @@ def encode_segment(seg: Segment) -> bytes:
             f"block {i} {name}={float(meta[i, j])!r} is not a finite float32; the "
             "wire carries f32 metadata, quantize through the bucketed path"
         )
-    meta_bytes = meta32.view(np.uint8)
-    record = _BLOCK_META.size + _payload_bytes(bucket_size, seg.bit_width)
-    records = np.empty((k, record), np.uint8)
-    records[:, : _BLOCK_META.size] = meta_bytes[:k]
-    records[:, _BLOCK_META.size :] = _pack_rows(seg.rows, seg.bit_width)
-    out = [header, records]
-    if seg.tail.size:
-        out += [meta_bytes[k], _pack_rows(seg.tail[None], seg.bit_width)]
-    return b"".join(out)
+    buf, groups = _frame(seg.bit_width, bucket_size, k, seg.tail.size, seg.length)
+    for (_, rec), codes, meta in zip(groups, (seg.rows, seg.tail[None]), np.split(meta32, [k])):
+        rec[:, : _BLOCK_META.size] = meta.view(np.uint8)
+        _put_codes(rec[:, _BLOCK_META.size :], codes, seg.bit_width)
+    return bytes(buf)
+
+
+def quantize_message(v, bucket_size: int, bit_width: int, inner: str, rng) -> bytearray:
+    """encode_segment(quantize_segment(v, ...)), quantized straight into the records.
+    Its metadata need no check: lo and hi are checked values rounded to float32,
+    and |shift| <= span / 2 is at most the float32 maximum."""
+    v, coded = _quantize_pass(v, bucket_size, bit_width, inner, rng)
+    buf, groups = _frame(bit_width, *_layout(v.size, bucket_size), v.size)
+    for (offset, records), (codes, shift, lo, hi) in zip(groups, coded):
+        if codes.ndim == 1:  # one bucket, with float metadata
+            _BLOCK_META.pack_into(buf, offset, shift, lo, hi)
+            codes = codes[None]
+        else:
+            meta = records[:, : _BLOCK_META.size].view("<f4")
+            meta[:, 0], meta[:, 1], meta[:, 2] = shift, lo, hi
+        _put_codes(records[:, _BLOCK_META.size :], codes, bit_width)
+    return buf
+
+
+def dequantize_message(data, out: np.ndarray) -> np.ndarray:
+    """dequantize_segment(decode_segment(data)) from views of `data` into `out`, a float64
+    array of the message's length; a DecodeError for malformed data or another length."""
+    seg = decode_segment(data)
+    if seg.length != out.size:
+        raise DecodeError(f"message of {seg.length} values for {out.size} destination values")
+    return dequantize_segment(seg, out)
 
 
 def decode_segment(data: bytes) -> Segment:
@@ -199,8 +232,8 @@ def decode_segment(data: bytes) -> Segment:
         meta.append(buf[None, body_end:tail_start])
         tail = _unpack_rows(buf[None, tail_start:], tail_len, bit_width)[0]
     meta = np.concatenate(meta).view("<f4").astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(meta).all(axis=1) | (meta[:, 1] > meta[:, 2]))
-    if bad.size:
+    if not (_all_finite(meta) and (meta[:, 1] <= meta[:, 2]).all()):
+        bad = np.flatnonzero(~np.isfinite(meta).all(axis=1) | (meta[:, 1] > meta[:, 2]))
         raise DecodeError(
             f"block {bad[0]} metadata (shift, scale_lo, scale_hi) = "
             f"{tuple(meta[bad[0]].tolist())} is not finite with scale_lo <= scale_hi"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pathlib
+import sys
 import time
 import tracemalloc
 
@@ -353,6 +354,23 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, command, p
     assert not out.exists()
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter reads integer literals of any length")
+def test_an_integer_literal_beyond_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.load refuses an integer of more than sys.get_int_max_str_digits()
+    # digits (4300 by default) with a plain ValueError
+    shipped = pathlib.Path(__file__).resolve().parents[1] / "configs" / "bandwidth-sweep.json"
+    path = tmp_path / "bw.json"
+    path.write_text(shipped.read_text().replace('"P": 4', '"P": 1' + "0" * 5000))
+    out = tmp_path / "out.csv"
+    rc = main(["bandwidth-sweep", "--config", str(path), "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("qsdp: config error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,value", [("benchmark_samples", 20000), ("budget_draws", 128)])
 def test_converge_rejects_its_removed_sampling_fields(tmp_path, capsys, field, value):
     cfg_path = _write(tmp_path, "converge", dict(CONFIGS["converge"], **{field: value}))
@@ -441,6 +459,13 @@ EXTREME = {
     "bandwidth-sweep-layers-int": ("bandwidth-sweep", {"layers": [10**400, 4]}, "layers"),
     "bandwidth-sweep-layers-ratios": (
         "bandwidth-sweep", dict(_RATIOS, layers=[10**160, 10**160]), "layers"
+    ),
+    # a ratio that scales a finite step's bits to inf, at any bandwidth
+    "bandwidth-sweep-weight_ratios": (
+        "bandwidth-sweep", dict(_RATIOS, weight_ratios=[1e-310]), "weight_ratios"
+    ),
+    "bandwidth-sweep-gradient_ratios": (
+        "bandwidth-sweep", dict(_RATIOS, gradient_ratios=[1e-310]), "gradient_ratios"
     ),
 }
 

@@ -33,8 +33,10 @@ from qsdp.wire import (
     EncodeError,
     decode,
     decode_segment,
+    dequantize_message,
     encode,
     encode_segment,
+    quantize_message,
 )
 
 from oracles import _oracle_bucket, _oracle_message
@@ -82,6 +84,80 @@ def test_segment_codec_matches_per_bucket_oracle(message):
     assert encode(blocks) == want_bytes
     got = np.concatenate([dequantize(b) for b in decode(want_bytes)])
     assert _same_bits(got, want_values)
+
+
+# -- the transport's writer and reader ------------------------------------------
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_messages())
+@example((np.array([-3.4028235e38, 3.4028235e38] * 600), 2, 1, "shift", 0))  # |shift| ~ f32 max
+def test_quantize_message_is_encode_segment_of_quantize_segment(message):
+    v, bucket, bits, inner, seed = message
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    data = quantize_message(v, bucket, bits, inner, rng)
+    assert bytes(data) == encode_segment(quantize_segment(v, bucket, bits, inner, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_messages(), st.integers(0, 5))
+def test_dequantize_message_writes_the_segment_values_into_its_slice_alone(message, offset):
+    v, bucket, bits, inner, seed = message
+    data = bytes(quantize_message(v, bucket, bits, inner, np.random.default_rng(seed)))
+    dest = np.full(v.size + 10, np.pi)
+    got = dequantize_message(data, dest[offset : offset + v.size])
+    assert np.shares_memory(got, dest)  # written in place
+    assert _same_bits(dest[offset : offset + v.size], dequantize_segment(decode_segment(data)))
+    assert np.all(dest[:offset] == np.pi) and np.all(dest[offset + v.size :] == np.pi)
+
+
+def test_dequantize_message_refuses_a_destination_of_another_length():
+    data = quantize_message(np.arange(10.0), 4, 8, "shift", np.random.default_rng(0))
+    for n in (9, 11):
+        with pytest.raises(DecodeError, match=f"message of 10 values for {n} destination"):
+            dequantize_message(data, np.empty(n))
+
+
+class _RaisingDraws:
+    """A generator stand-in whose every draw raises."""
+
+    def random(self, *args):
+        raise RuntimeError("draw failed")
+
+    uniform = random
+
+
+# (values, bucket size): 1024-wide rows as the transport sends them, rows of
+# 20 (a 16-value buffer) with a tail, and rows narrower than 16
+_BUFFER_LAYOUTS = [
+    (np.random.default_rng(1).standard_normal(16 * 1024), 1024),
+    (np.random.default_rng(2).standard_normal(1010), 20),
+    (np.random.default_rng(3).standard_normal(100), 7),
+]
+
+
+@pytest.mark.parametrize("inner", INNERS)
+@pytest.mark.parametrize("bits", [3, 8])
+def test_the_codec_leaves_the_callers_buffer_size_and_its_output_alone(inner, bits):
+    saved = np.getbufsize()
+    outputs = []
+    try:
+        for size in (16, 8192, 65536):
+            np.setbufsize(size)
+            for v, bucket in _BUFFER_LAYOUTS:
+                data = quantize_message(v, bucket, bits, inner, np.random.default_rng(0))
+                assert np.getbufsize() == size
+                values = dequantize_message(data, np.empty(v.size))
+                assert np.getbufsize() == size
+                with pytest.raises(RuntimeError, match="draw failed"):
+                    quantize_message(v, bucket, bits, inner, _RaisingDraws())
+                assert np.getbufsize() == size
+                outputs.append((bytes(data), values.tobytes()))
+    finally:
+        np.setbufsize(saved)
+    n = len(_BUFFER_LAYOUTS)
+    assert outputs[:n] == outputs[n : 2 * n] == outputs[2 * n :]
 
 
 @settings(max_examples=50, deadline=None)
@@ -219,26 +295,44 @@ def _decode_or_reject(data: bytes) -> None:
     decode(data)
 
 
+def _read_or_reject(data: bytes) -> None:
+    """The transport's reader either gives the decoded segment's values, or
+    raises DecodeError where decoding does."""
+    try:
+        seg = decode_segment(data)
+    except DecodeError:
+        with pytest.raises(DecodeError):
+            dequantize_message(data, np.empty(0))
+        return
+    got = dequantize_message(data, np.empty(seg.length))
+    assert _same_bits(got, dequantize_segment(seg))
+
+
+_READERS = {"segment": _decode_or_reject, "message": _read_or_reject}
+
+
+@pytest.mark.parametrize("read", _READERS.values(), ids=_READERS.keys())
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=96))
-def test_random_bytes_raise_only_decode_errors(data):
-    _decode_or_reject(data)
+def test_random_bytes_raise_only_decode_errors(read, data):
+    read(data)
 
 
+@pytest.mark.parametrize("read", _READERS.values(), ids=_READERS.keys())
 @settings(max_examples=300, deadline=None)
 @given(
     _messages(),
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
     st.integers(-8, 8),
 )
-def test_mutated_messages_raise_only_decode_errors(message, flips, resize):
+def test_mutated_messages_raise_only_decode_errors(read, message, flips, resize):
     v, bucket, bits, inner, seed = message
     seg = quantize_segment(v[:64], bucket, bits, inner, np.random.default_rng(seed))
     data = bytearray(encode_segment(seg))
     for pos, mask in flips:
         data[pos % len(data)] ^= mask
     data = data[:resize] if resize < 0 else data + bytes(resize)
-    _decode_or_reject(bytes(data))
+    read(bytes(data))
 
 
 # -- metadata checks ------------------------------------------------------------
@@ -413,6 +507,12 @@ _CODEC_CALLS = {
     },
     **{
         f"roundtrip-{inner}": lambda v, b, rng, inner=inner: _roundtrip(v, b, 8, inner, rng)
+        for inner in INNERS
+    },
+    **{
+        f"quantize_message-{inner}": lambda v, b, rng, inner=inner: quantize_message(
+            v, b, 8, inner, rng
+        )
         for inner in INNERS
     },
     "gradient-quantizer": lambda v, b, rng: UniformStochasticGradientQuantizer(

@@ -239,7 +239,7 @@ class TestQuantizedTransport:
         # each; P shard messages per gather and P(P-1) per reduce-scatter
         sim = _sim(P=4, widths=(256, 512, 512, 64), batch=32)
         rngs = _counting(monkeypatch, "bucket_rng")
-        quantized = _counting(monkeypatch, "quantize_segment")
+        quantized = _counting(monkeypatch, "quantize_message")
         sim.train_step(0)
         assert len(rngs) == 6
         assert sorted(args[2:] for args in rngs) == [
@@ -260,7 +260,7 @@ class TestQuantizedTransport:
         P, widths, bucket = 3, (10, 7, 3), 8  # uneven shards, tails in buckets
         quant = QuantConfig(quantize_weights=False, bucket_size=bucket)
         sim = _sim(P=P, quant=quant, widths=widths, batch=6)
-        quantized = _counting(monkeypatch, "quantize_segment")
+        quantized = _counting(monkeypatch, "quantize_message")
         _, entry = sim.train_step(0)
         dense = [l for l in sim.layers if l.kind == "dense"]
         assert len(quantized) == len(dense) * P * (P - 1)
@@ -275,7 +275,7 @@ class TestQuantizedTransport:
         sim = _sim(P=4)
         fwd, bwd = LedgerEntry(step=0), LedgerEntry(step=0)
         forward = sim._gather(0, 0, PHASE_W_FWD, fwd).copy()
-        quantized = _counting(monkeypatch, "quantize_segment")
+        quantized = _counting(monkeypatch, "quantize_message")
         backward = sim._gather(0, 0, PHASE_W_BWD, bwd)
         assert quantized == []  # nothing is quantized again
         assert backward.tobytes() == forward.tobytes()
